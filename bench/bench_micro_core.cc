@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
-// LBA mapping, access planning, replica placement, scheduler picks, and the
-// GF(2^8) erasure codec. These bound the cost of simulated I/O, of
-// position-sensitive scheduling (a SATF-class dispatch is
-// O(queue x replicas) Plan() calls), and of byte-level coding per stripe.
+// LBA mapping, access planning, replica placement, scheduler picks, the
+// controller's read-after-write barrier, and the GF(2^8) erasure codec.
+// These bound the cost of simulated I/O, of position-sensitive scheduling (a
+// SATF-class dispatch is O(queue x replicas) Plan() calls), of a write
+// completion's wake of parked reads, and of byte-level coding per stripe.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -10,6 +11,8 @@
 #include <optional>
 #include <vector>
 
+#include "src/array/array_layout.h"
+#include "src/array/controller.h"
 #include "src/array/placement.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
@@ -176,6 +179,62 @@ void BM_FleetSimStep(benchmark::State& state) {
   state.SetComplexityN(static_cast<int64_t>(fleet));
 }
 BENCHMARK(BM_FleetSimStep)->Arg(100)->Arg(1000)->Complexity();
+
+// Read-after-write barrier: N reads parked behind N in-flight writes to
+// distinct stripe units of a 64-disk stripe. One iteration runs the
+// simulation until one write lands (its wake resubmits the one read parked
+// behind it), then parks a fresh read behind a fresh write to that unit, so
+// the backlog stays at N. A wake visits only the landed write's sectors, so
+// the per-iteration time should stay flat in N; a rescan of every parked
+// read per completion would make it O(N).
+void BM_ParkedReadWake(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  constexpr int kDisks = 64;
+  constexpr uint32_t kUnit = 16;
+  Simulator sim;
+  std::vector<std::unique_ptr<SimDisk>> disks;
+  std::vector<std::unique_ptr<AccessPredictor>> predictors;
+  std::vector<SimDisk*> dptr;
+  std::vector<AccessPredictor*> pptr;
+  for (int i = 0; i < kDisks; ++i) {
+    disks.push_back(std::make_unique<SimDisk>(&sim, F().geometry, F().profile,
+                                              DiskNoiseModel::None(), i + 1,
+                                              i * 700.0));
+    predictors.push_back(
+        std::make_unique<OraclePredictor>(disks.back().get(), 0.0));
+    dptr.push_back(disks.back().get());
+    pptr.push_back(predictors.back().get());
+  }
+  ArrayAspect aspect;
+  aspect.ds = kDisks;
+  ArrayLayout layout(&disks[0]->layout(), aspect, kUnit, n * kUnit);
+  ArrayControllerOptions copts;
+  copts.scheduler = SchedulerKind::kFcfs;
+  ArrayController controller(&sim, dptr, pptr, &layout, copts);
+  std::vector<uint64_t> landed;  // units whose write completed
+  const auto park_pair = [&](uint64_t unit) {
+    controller.Submit(DiskOp::kWrite, unit * kUnit, 8,
+                      [&landed, unit](const IoResult&) {
+                        landed.push_back(unit);
+                      });
+    controller.Submit(DiskOp::kRead, unit * kUnit, 8, [](const IoResult&) {});
+  };
+  for (size_t u = 0; u < n; ++u) {
+    park_pair(u);
+  }
+  for (auto _ : state) {
+    while (landed.empty()) {
+      sim.Step();
+    }
+    const uint64_t unit = landed.back();
+    landed.pop_back();
+    park_pair(unit);
+  }
+  state.SetComplexityN(static_cast<int64_t>(n));
+  while (!controller.Idle() && sim.Step()) {
+  }
+}
+BENCHMARK(BM_ParkedReadWake)->Arg(16)->Arg(256)->Arg(2048)->Complexity();
 
 // Virtual-array grant/release round trip on a mixed two-generation fleet of
 // N drives under the most-free policy (the sorting policy: O(N log N) per

@@ -74,7 +74,7 @@ void ArrayController::AuditQuiescent() const {
   auditor_->CheckQuiescent(drives_->TotalFgQueued(),
                            drives_->TotalDelayedQueued(), nvram_.size(),
                            stale_sectors_.size(), inflight_writes_.size(),
-                           parked_.size());
+                           parked_.size(), WaiterEntries());
 }
 
 bool ArrayController::Idle() const {
@@ -95,10 +95,16 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
   // Read-after-write ordering: a read of data with an in-flight foreground
   // write waits for the write (all replicas are potentially stale until one
   // lands).
-  if (op == DiskOp::kRead && RangeHasInflightWrite(lba, sectors)) {
-    ++stats_.parked_reads;
-    parked_.push_back(ParkedRequest{op, lba, sectors, std::move(done), issue_us});
-    return;
+  if (op == DiskOp::kRead) {
+    if (const std::optional<uint64_t> blocker =
+            FirstInflightSector(lba, sectors)) {
+      ++stats_.parked_reads;
+      const uint64_t seq = next_park_seq_++;
+      parked_.emplace(seq, ParkedRequest{op, lba, sectors, std::move(done),
+                                         issue_us});
+      waiters_[*blocker].push_back(seq);
+      return;
+    }
   }
 
   const uint64_t op_id = next_op_id_++;
@@ -1139,17 +1145,17 @@ void ArrayController::RestorePropagations(
   EnforceDelayedTableLimit();
 }
 
-bool ArrayController::RangeHasInflightWrite(uint64_t lba,
-                                            uint32_t sectors) const {
+std::optional<uint64_t> ArrayController::FirstInflightSector(
+    uint64_t lba, uint32_t sectors) const {
   if (inflight_writes_.empty()) {
-    return false;
+    return std::nullopt;
   }
   for (uint32_t s = 0; s < sectors; ++s) {
     if (inflight_writes_.contains(lba + s)) {
-      return true;
+      return lba + s;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 void ArrayController::MarkInflightWrite(uint64_t lba, uint32_t sectors,
@@ -1160,27 +1166,66 @@ void ArrayController::MarkInflightWrite(uint64_t lba, uint32_t sectors,
     MIMDRAID_CHECK_GE(it->second, 0);
     if (it->second == 0) {
       inflight_writes_.erase(it);
+      if (!waiters_.empty() && waiters_.contains(lba + s)) {
+        wake_sectors_.push_back(lba + s);
+      }
     }
   }
 }
 
+// The wake releases exactly the reads a full rescan of parked_ would: every
+// parked read is registered under one blocking sector, and a read can only
+// become unblocked when that sector's count drops to zero, which queues the
+// sector here. Sectors are visited at wake time, after the completion
+// callback, so a write that callback submitted re-blocks its readers just as
+// it would have under a rescan.
 void ArrayController::WakeParked() {
-  if (parked_.empty()) {
+  if (wake_sectors_.empty()) {
     return;
   }
-  std::vector<ParkedRequest> still_parked;
-  std::vector<ParkedRequest> ready;
-  for (ParkedRequest& p : parked_) {
-    if (RangeHasInflightWrite(p.lba, p.sectors)) {
-      still_parked.push_back(std::move(p));
-    } else {
-      ready.push_back(std::move(p));
+  std::vector<uint64_t> ready;
+  for (uint64_t sector : wake_sectors_) {
+    if (inflight_writes_.contains(sector)) {
+      continue;  // re-blocked; its waiters stay registered
+    }
+    auto wit = waiters_.find(sector);
+    if (wit == waiters_.end()) {
+      continue;
+    }
+    std::vector<uint64_t> seqs = std::move(wit->second);
+    waiters_.erase(wit);
+    for (uint64_t seq : seqs) {
+      const ParkedRequest& p = parked_.at(seq);
+      if (const std::optional<uint64_t> blocker =
+              FirstInflightSector(p.lba, p.sectors)) {
+        waiters_[*blocker].push_back(seq);
+      } else {
+        ready.push_back(seq);
+      }
     }
   }
-  parked_ = std::move(still_parked);
-  for (ParkedRequest& p : ready) {
+  wake_sectors_.clear();
+  // Park order; taken out of parked_ before any resubmission so a nested wake
+  // (a resubmitted read completing synchronously) sees only the rest.
+  std::sort(ready.begin(), ready.end());
+  std::vector<ParkedRequest> batch;
+  batch.reserve(ready.size());
+  for (uint64_t seq : ready) {
+    auto it = parked_.find(seq);
+    batch.push_back(std::move(it->second));
+    parked_.erase(it);
+  }
+  for (ParkedRequest& p : batch) {
     SubmitInternal(p.op, p.lba, p.sectors, std::move(p.done), p.issue_us);
   }
+}
+
+size_t ArrayController::WaiterEntries() const {
+  size_t n = 0;
+  for (const auto& [sector, seqs] : waiters_) {
+    n += seqs.size();
+  }
+  return n;
 }
 
 bool ArrayController::FailDisk(SlotId slot) {

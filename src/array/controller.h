@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -155,8 +157,8 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   bool Idle() const override;
 
   // Runs the auditor's terminal consistency check (queues, NVRAM table,
-  // stale markers, parked reads must all be empty). Call once the array
-  // reports Idle(); a no-op when no auditor is attached.
+  // stale markers, parked reads and the waiter index must all be empty).
+  // Call once the array reports Idle(); a no-op when no auditor is attached.
   void AuditQuiescent() const override;
 
   // --- Disk failure and rebuild (the Section 2.5 reliability argument). ---
@@ -288,9 +290,15 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
                        uint32_t attempts = 0);
   void CancelPendingDelayed(uint32_t disk, uint64_t lba);
   void EnforceDelayedTableLimit();
-  bool RangeHasInflightWrite(uint64_t lba, uint32_t sectors) const;
+  // First logical sector of the range with an in-flight foreground write.
+  std::optional<uint64_t> FirstInflightSector(uint64_t lba,
+                                              uint32_t sectors) const;
   void MarkInflightWrite(uint64_t lba, uint32_t sectors, int delta);
+  // Resubmits, in park order, every parked read whose waiter sector dropped
+  // to zero since the last wake and that no other in-flight write blocks.
   void WakeParked();
+  // Total registrations in waiters_: one per parked read.
+  size_t WaiterEntries() const;
   void ScheduleRecalibration(uint32_t disk);
   void RebuildNextFragment(uint32_t disk, uint64_t next_lba, DoneFn done);
   void EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
@@ -352,7 +360,14 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   std::unordered_set<uint64_t> stale_sectors_;
   // Logical sectors with an in-flight foreground write (ordering barrier).
   std::unordered_map<uint64_t, int> inflight_writes_;
-  std::vector<ParkedRequest> parked_;
+  // Reads parked behind in-flight writes, keyed by park sequence (park
+  // order). Each is registered in waiters_ under exactly one blocking
+  // logical sector: one with a non-zero inflight_writes_ count, or one whose
+  // count has dropped to zero and that wake_sectors_ lists for the next wake.
+  std::map<uint64_t, ParkedRequest> parked_;
+  uint64_t next_park_seq_ = 0;
+  std::unordered_map<uint64_t, std::vector<uint64_t>> waiters_;
+  std::vector<uint64_t> wake_sectors_;
 
   uint64_t rebuild_copied_ = 0;
   // Rebuild plumbing: completion hooks for the maintenance-tagged copy ops.

@@ -72,7 +72,8 @@ void EcController::AuditQuiescent() const {
   auditor_->CheckQuiescent(drives_->TotalFgQueued(),
                            drives_->TotalDelayedQueued(),
                            /*nvram_entries=*/0, /*stale_sectors=*/0,
-                           /*inflight_writes=*/0, /*parked_requests=*/0);
+                           /*inflight_writes=*/0, /*parked_requests=*/0,
+                           /*waiter_entries=*/0);
 }
 
 void EcController::ExportStats(StatsRegistry* registry) const {

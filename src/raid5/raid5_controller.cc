@@ -68,7 +68,8 @@ void Raid5Controller::AuditQuiescent() const {
   auditor_->CheckQuiescent(drives_->TotalFgQueued(),
                            drives_->TotalDelayedQueued(),
                            /*nvram_entries=*/0, /*stale_sectors=*/0,
-                           /*inflight_writes=*/0, /*parked_requests=*/0);
+                           /*inflight_writes=*/0, /*parked_requests=*/0,
+                           /*waiter_entries=*/0);
 }
 
 void Raid5Controller::ExportStats(StatsRegistry* registry) const {

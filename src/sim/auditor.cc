@@ -350,7 +350,8 @@ void InvariantAuditor::CheckQuiescent(size_t fg_queued, size_t delayed_queued,
                                       size_t nvram_entries,
                                       size_t stale_sectors,
                                       size_t inflight_writes,
-                                      size_t parked_requests) {
+                                      size_t parked_requests,
+                                      size_t waiter_entries) {
   AUDIT_EXPECT(fg_queued == 0, "quiescence: " << fg_queued
                                               << " foreground entries still "
                                                  "queued");
@@ -371,6 +372,13 @@ void InvariantAuditor::CheckQuiescent(size_t fg_queued, size_t delayed_queued,
   AUDIT_EXPECT(parked_requests == 0,
                "quiescence: " << parked_requests
                               << " reads still parked behind writes");
+  AUDIT_EXPECT(waiter_entries == 0,
+               "quiescence: " << waiter_entries
+                              << " waiter-index entries leaked");
+  AUDIT_EXPECT(waiter_entries == parked_requests,
+               "quiescence: waiter index holds "
+                   << waiter_entries << " entries for " << parked_requests
+                   << " parked reads");
   AUDIT_EXPECT(entries_.empty(), "quiescence: "
                                      << entries_.size()
                                      << " queue entries never completed "

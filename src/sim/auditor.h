@@ -163,10 +163,12 @@ class InvariantAuditor {
 
   // Terminal check, called when the controller claims quiescence: every
   // count the controller reports and every live object the auditor tracks
-  // must be zero.
+  // must be zero. `waiter_entries` is the size of the controller's parked-read
+  // waiter index, which must also agree with `parked_requests`.
   void CheckQuiescent(size_t fg_queued, size_t delayed_queued,
                       size_t nvram_entries, size_t stale_sectors,
-                      size_t inflight_writes, size_t parked_requests);
+                      size_t inflight_writes, size_t parked_requests,
+                      size_t waiter_entries);
 
  private:
   enum class EntryState { kQueued, kDispatched };

@@ -324,14 +324,32 @@ TEST(AuditorTest, CatchesEraseOfUnknownNvramRecord) {
 TEST(AuditorTest, QuiescentWithLeftoverEntryFails) {
   RecordingAuditor rec;
   rec.auditor().OnEntryQueued(0, 9, /*delayed=*/false);
-  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0);
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0, 0);
   EXPECT_GE(rec.auditor().violations(), 1u);
 }
 
 TEST(AuditorTest, QuiescentWithNonzeroCountFails) {
   RecordingAuditor rec;
-  rec.auditor().CheckQuiescent(/*fg_queued=*/1, 0, 0, 0, 0, 0);
+  rec.auditor().CheckQuiescent(/*fg_queued=*/1, 0, 0, 0, 0, 0, 0);
   EXPECT_GE(rec.auditor().violations(), 1u);
+}
+
+TEST(AuditorTest, QuiescentWithLeakedWaiterEntryFails) {
+  // A waiter-index registration outlived its parked read.
+  RecordingAuditor rec;
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, /*parked_requests=*/0,
+                               /*waiter_entries=*/1);
+  EXPECT_EQ(rec.auditor().violations(), 2u);
+  ASSERT_FALSE(rec.messages().empty());
+  EXPECT_NE(rec.messages().front().find("waiter-index"), std::string::npos);
+}
+
+TEST(AuditorTest, QuiescentWithWaiterCountMismatchFails) {
+  // One parked read registered twice: the index disagrees with the store.
+  RecordingAuditor rec;
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, /*parked_requests=*/1,
+                               /*waiter_entries=*/2);
+  EXPECT_EQ(rec.auditor().violations(), 3u);
 }
 
 TEST(AuditorTest, TrulyQuiescentPasses) {
@@ -339,7 +357,7 @@ TEST(AuditorTest, TrulyQuiescentPasses) {
   rec.auditor().OnEntryQueued(0, 9, false);
   rec.auditor().OnEntryDispatched(0, 9);
   rec.auditor().OnEntryCompleted(0, 9);
-  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0);
+  rec.auditor().CheckQuiescent(0, 0, 0, 0, 0, 0, 0);
   EXPECT_EQ(rec.auditor().violations(), 0u);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -7,6 +8,8 @@
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/obs/trace_collector.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 
 namespace mimdraid {
@@ -134,6 +137,125 @@ TEST(Controller, ReadAfterWriteIsOrderedAndConsistent) {
   }
   EXPECT_GE(read_done, write_done);
   EXPECT_EQ(rig.controller->stats().parked_reads, 1u);
+}
+
+// Requests the collector has seen arrive. A parked read arrives (and gets
+// its op id) only when the barrier resubmits it.
+size_t Arrivals(const TraceCollector& collector) {
+  return collector.requests().size() + collector.open_requests();
+}
+
+TEST(Controller, ReadSpanningTwoWritesWakesAfterTheSecondLands) {
+  TraceCollector collector;
+  ArrayControllerOptions copts;
+  copts.collector = &collector;
+  Rig rig(2, 1, 1, copts);
+  int writes_done = 0;
+  SimTime last_write(-1);
+  const auto on_write = [&](const IoResult& r) {
+    ++writes_done;
+    last_write = r.completion_us;
+  };
+  // Stripe unit 16: one write per disk, and a read across both of them.
+  rig.controller->Submit(DiskOp::kWrite, 0, 8, on_write);
+  rig.controller->Submit(DiskOp::kWrite, 16, 8, on_write);
+  SimTime read_done(-1);
+  rig.controller->Submit(DiskOp::kRead, 4, 16,
+                         [&](const IoResult& r) { read_done = r.completion_us; });
+  EXPECT_EQ(rig.controller->stats().parked_reads, 1u);
+  EXPECT_EQ(Arrivals(collector), 2u);
+  while (writes_done < 1) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  // The first write's wake has run; the other write still blocks the read.
+  EXPECT_EQ(Arrivals(collector), 2u);
+  while (writes_done < 2) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  EXPECT_EQ(Arrivals(collector), 3u);
+  rig.Drain();
+  EXPECT_GE(read_done, last_write);
+  // Waiting on the second write after the first landed is not a new park.
+  EXPECT_EQ(rig.controller->stats().parked_reads, 1u);
+}
+
+TEST(Controller, ReadsParkedBehindOneWriteResubmitInParkOrder) {
+  TraceCollector collector;
+  ArrayControllerOptions copts;
+  copts.collector = &collector;
+  Rig rig(1, 1, 1, copts);
+  rig.controller->Submit(DiskOp::kWrite, 0, 16, [](const IoResult&) {});
+  // The reads first block on sectors 0, 8 and 4: the wake reaches them in
+  // sector order, which is not park order.
+  for (const uint64_t lba : {0u, 8u, 4u}) {
+    rig.controller->Submit(DiskOp::kRead, lba, 8, [](const IoResult&) {});
+  }
+  EXPECT_EQ(rig.controller->stats().parked_reads, 3u);
+  rig.Drain();
+  EXPECT_EQ(rig.controller->stats().reads_completed, 3u);
+  // Op ids are handed out on resubmission: 2, 3, 4 in park order.
+  std::map<uint64_t, uint64_t> lba_by_id;
+  for (const RequestRecord& rec : collector.requests()) {
+    lba_by_id[rec.id] = rec.lba;
+  }
+  EXPECT_EQ(lba_by_id[2], 0u);
+  EXPECT_EQ(lba_by_id[3], 8u);
+  EXPECT_EQ(lba_by_id[4], 4u);
+}
+
+TEST(Controller, WriteSubmittedFromCallbackReblocksWaitingRead) {
+  TraceCollector collector;
+  ArrayControllerOptions copts;
+  copts.collector = &collector;
+  Rig rig(1, 1, 1, copts);
+  bool first_done = false;
+  SimTime second_write(-1);
+  rig.controller->Submit(DiskOp::kWrite, 0, 8, [&](const IoResult&) {
+    first_done = true;
+    // Runs before the wake; it overlaps only the read's tail, so the read
+    // must move from sector 0 to sector 4 and stay parked.
+    rig.controller->Submit(
+        DiskOp::kWrite, 4, 8,
+        [&](const IoResult& r) { second_write = r.completion_us; });
+  });
+  SimTime read_done(-1);
+  rig.controller->Submit(DiskOp::kRead, 0, 8,
+                         [&](const IoResult& r) { read_done = r.completion_us; });
+  while (!first_done) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  EXPECT_EQ(Arrivals(collector), 2u);  // both writes; the read is parked
+  while (read_done < SimTime(0)) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  EXPECT_GT(second_write, SimTime(0));
+  EXPECT_GE(read_done, second_write);
+  EXPECT_EQ(rig.controller->stats().parked_reads, 1u);
+}
+
+TEST(Controller, UnrecoverableWriteFragmentReleasesItsWaiters) {
+  FaultInjector injector(FaultInjectorOptions{});
+  ArrayControllerOptions copts;
+  copts.fault_injector = &injector;
+  Rig rig(1, 1, 1, copts);
+  injector.FailStop(0);
+  IoResult write_result;
+  IoResult read_result;
+  bool read_done = false;
+  rig.controller->Submit(DiskOp::kWrite, 0, 8,
+                         [&](const IoResult& r) { write_result = r; });
+  rig.controller->Submit(DiskOp::kRead, 0, 8, [&](const IoResult& r) {
+    read_result = r;
+    read_done = true;
+  });
+  EXPECT_EQ(rig.controller->stats().parked_reads, 1u);
+  rig.Drain();
+  EXPECT_EQ(write_result.status, IoStatus::kUnrecoverable);
+  // Released by the failed write's wake; the lone disk is gone, so the read
+  // surfaces kUnrecoverable too instead of staying parked forever.
+  ASSERT_TRUE(read_done);
+  EXPECT_EQ(read_result.status, IoStatus::kUnrecoverable);
+  EXPECT_TRUE(rig.controller->Idle());
 }
 
 TEST(Controller, ReadIgnoresStaleReplica) {
