@@ -118,7 +118,7 @@ Outcome RunHost(SchedulerKind kind) {
     entry.id = next_id++;
     entry.op = DiskOp::kRead;
     entry.sectors = 1;
-    entry.candidate_lbas = {BlockAddr(rng.UniformU64(disk.num_sectors()))};
+    entry.candidates = {BlockAddr(rng.UniformU64(disk.num_sectors()))};
     entry.arrival_us = sim.Now();
     done_map[entry.id] = std::move(cb);
     queue.push_back(std::move(entry));

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
-// LBA mapping, access planning, replica placement, scheduler picks, the
-// controller's read-after-write barrier, and the GF(2^8) erasure codec.
+// LBA mapping, access planning, replica placement, scheduler picks (SATF over
+// resolved positions, RSATF over raw LBAs), the controller's read-after-write
+// barrier, and the GF(2^8) erasure codec.
 // These bound the cost of simulated I/O, of position-sensitive scheduling (a
 // SATF-class dispatch is O(queue x replicas) Plan() calls), of a write
 // completion's wake of parked reads, and of byte-level coding per stripe.
@@ -119,7 +120,7 @@ void BM_RsatfPick(benchmark::State& state) {
     req.sectors = 8;
     const uint64_t s = rng.UniformU64(placement.capacity_sectors() - 8);
     for (const uint64_t cand : placement.AllReplicas(s)) {
-      req.candidate_lbas.push_back(BlockAddr(cand));
+      req.candidates.push_back(BlockAddr(cand));
     }
     queue.push_back(std::move(req));
   }
@@ -142,6 +143,40 @@ BENCHMARK(BM_RsatfPick)
     ->Arg(128)
     ->Arg(256)
     ->Complexity();
+
+// One SATF dispatch over N queued single-candidate 8 KB entries, 70% writes,
+// with positions resolved at enqueue as DriveSet does. N = 4 is the
+// ec_rmw_closed shape (16 outstanding parity ops spread over 6 drives); each
+// pick is one fused bound-and-plan pass per entry, no LBA re-translation.
+void BM_SatfPick(benchmark::State& state) {
+  const size_t queue_len = static_cast<size_t>(state.range(0));
+  Simulator sim;
+  SimDisk disk(&sim, F().geometry, F().profile, DiskNoiseModel::None(), 1,
+               0.0);
+  OraclePredictor predictor(&disk, 0.0);
+  Rng rng(9);
+  std::vector<QueuedRequest> queue;
+  for (size_t i = 0; i < queue_len; ++i) {
+    QueuedRequest req;
+    req.id = i + 1;
+    req.op = rng.Bernoulli(0.3) ? DiskOp::kRead : DiskOp::kWrite;
+    req.sectors = 16;
+    req.candidates = {BlockAddr(rng.UniformU64(4'000'000))};
+    ResolveCandidates(disk.layout(), req);
+    queue.push_back(std::move(req));
+  }
+  SatfScheduler sched;
+  ScheduleContext ctx;
+  ctx.predictor = &predictor;
+  ctx.layout = &disk.layout();
+  SimTime now;
+  for (auto _ : state) {
+    ctx.now = now;
+    benchmark::DoNotOptimize(sched.Pick(queue, ctx));
+    now += SimDuration(1000);
+  }
+}
+BENCHMARK(BM_SatfPick)->Arg(4)->Arg(16)->Arg(128);
 
 // Closed-loop fleet: N independent disks on one simulator, each immediately
 // re-issuing on completion, so the event engine holds N pending completions

@@ -276,7 +276,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     entry.id = drives_->AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = frag.sectors;
-    entry.candidate_lbas = dc->lbas;
+    entry.candidates.assign(dc->lbas.begin(), dc->lbas.end());
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     frag.queued.emplace_back(dc->disk, entry.id);
@@ -318,7 +318,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
       entry.id = drives_->AllocEntryId();
       entry.op = DiskOp::kWrite;
       entry.sectors = frag.sectors;
-      entry.candidate_lbas = {BlockAddr(loc.lba)};
+      entry.candidates = {BlockAddr(loc.lba)};
       entry.arrival_us = sim_->Now();
       entry.tag = frag_key;
       drives_->EnqueueFg(SlotId(loc.disk), std::move(entry));
@@ -347,7 +347,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     for (int r = 0; r < dr; ++r) {
-      entry.candidate_lbas.push_back(
+      entry.candidates.push_back(
           BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba));
     }
     frag.queued.emplace_back(disk, entry.id);
@@ -728,7 +728,7 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   retry.id = drives_->AllocEntryId();
   retry.op = DiskOp::kWrite;
   retry.sectors = entry.sectors;
-  retry.candidate_lbas = {BlockAddr(chosen_lba)};
+  retry.candidates = {BlockAddr(chosen_lba)};
   retry.tag = frag_key;
   retry.attempts = entry.attempts + 1;
   ++fstats().retries_issued;
@@ -899,13 +899,13 @@ void ArrayController::AbandonDelayedQueue(uint32_t disk) {
       continue;
     }
     // Pending propagation to a dead disk: meaningless now.
-    if (nvram_.EraseIfOwner(disk, e.candidate_lbas.front().value(), e.id)) {
+    if (nvram_.EraseIfOwner(disk, e.candidates.front().lba.value(), e.id)) {
       if (auditor_ != nullptr) {
-        auditor_->OnNvramErase(disk, e.candidate_lbas.front().value());
+        auditor_->OnNvramErase(disk, e.candidates.front().lba.value());
       }
     }
     for (uint32_t s = 0; s < e.sectors; ++s) {
-      stale_sectors_.erase(ReplicaKey(disk, e.candidate_lbas.front().value() + s));
+      stale_sectors_.erase(ReplicaKey(disk, e.candidates.front().lba.value() + s));
     }
     ++fstats().propagations_abandoned;
   }
@@ -928,13 +928,13 @@ void ArrayController::RerouteQueuedEntries(uint32_t disk) {
     }
     if (e.delayed) {
       // Propagation forced into the FG queue by the table limit.
-      if (nvram_.EraseIfOwner(disk, e.candidate_lbas.front().value(), e.id)) {
+      if (nvram_.EraseIfOwner(disk, e.candidates.front().lba.value(), e.id)) {
         if (auditor_ != nullptr) {
-          auditor_->OnNvramErase(disk, e.candidate_lbas.front().value());
+          auditor_->OnNvramErase(disk, e.candidates.front().lba.value());
         }
       }
       for (uint32_t s = 0; s < e.sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(disk, e.candidate_lbas.front().value() + s));
+        stale_sectors_.erase(ReplicaKey(disk, e.candidates.front().lba.value() + s));
       }
       ++fstats().propagations_abandoned;
       continue;
@@ -1026,7 +1026,7 @@ void ArrayController::ScrubStep() {
       e.id = drives_->AllocEntryId();
       e.op = DiskOp::kRead;
       e.sectors = f.sectors;
-      e.candidate_lbas = {BlockAddr(loc.lba)};
+      e.candidates = {BlockAddr(loc.lba)};
       e.arrival_us = sim_->Now();
       e.maintenance = true;
       scrub_reads_[e.id] = ScrubTarget{loc.disk, loc.lba, f.sectors};
@@ -1062,7 +1062,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
   entry.id = drives_->AllocEntryId();
   entry.op = DiskOp::kWrite;
   entry.sectors = sectors;
-  entry.candidate_lbas = {BlockAddr(lba)};
+  entry.candidates = {BlockAddr(lba)};
   entry.arrival_us = sim_->Now();
   entry.delayed = true;
   entry.attempts = attempts;
@@ -1300,7 +1300,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       read_entry.id = drives_->AllocEntryId();
       read_entry.op = DiskOp::kRead;
       read_entry.sectors = len;
-      read_entry.candidate_lbas = {BlockAddr(source_lba)};
+      read_entry.candidates = {BlockAddr(source_lba)};
       read_entry.arrival_us = sim_->Now();
       read_entry.maintenance = true;
       rebuild_read_done_[read_entry.id] =
@@ -1355,7 +1355,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
   w.id = drives_->AllocEntryId();
   w.op = DiskOp::kWrite;
   w.sectors = len;
-  w.candidate_lbas = {BlockAddr(loc.lba)};
+  w.candidates = {BlockAddr(loc.lba)};
   w.arrival_us = sim_->Now();
   w.maintenance = true;
   rebuild_write_done_[w.id] = [this, loc, len, writes_left, rebuild_disk,
@@ -1400,7 +1400,7 @@ void ArrayController::ScheduleRecalibration(uint32_t disk) {
       entry.id = drives_->AllocEntryId();
       entry.op = DiskOp::kRead;
       entry.sectors = 1;
-      entry.candidate_lbas = {BlockAddr(hp->reference_lba())};
+      entry.candidates = {BlockAddr(hp->reference_lba())};
       entry.arrival_us = sim_->Now();
       entry.maintenance = true;
       drives_->EnqueueFg(SlotId(disk), std::move(entry));

@@ -42,6 +42,14 @@ AccessPlan HeadPositionPredictor::Predict(SimTime now, BlockAddr lba,
                        sectors, is_write);
 }
 
+std::optional<AccessPlan> HeadPositionPredictor::Evaluate(
+    SimTime now, const AccessCandidate& candidate, uint32_t sectors,
+    bool is_write, const PruneBar& bar) const {
+  return timing_->Evaluate(head_, static_cast<double>(now.us()),
+                           candidate.lba.value(), candidate.pos, sectors,
+                           is_write, /*bound_offset=*/0.0, bar);
+}
+
 void HeadPositionPredictor::OnDispatch(SimTime now, BlockAddr lba,
                                        uint32_t sectors, bool is_write,
                                        double predicted_service_us) {
@@ -140,13 +148,18 @@ double OraclePredictor::RotationUs() const {
   return disk_->DebugTimingModel().rotation_us();
 }
 
-double OraclePredictor::AccessBoundUs(SimTime now, BlockAddr lba,
-                                      uint32_t sectors, bool is_write) const {
+std::optional<AccessPlan> OraclePredictor::Evaluate(
+    SimTime now, const AccessCandidate& candidate, uint32_t sectors,
+    bool is_write, const PruneBar& bar) const {
   const double pre = disk_->noise().overhead_mean_us;
-  return disk_->DebugTimingModel().AccessLowerBoundUs(
-             disk_->DebugHeadState(), static_cast<double>(now.us()) + pre,
-             lba.value(), sectors, is_write) +
-         overhead_mean_us_;
+  std::optional<AccessPlan> plan = disk_->DebugTimingModel().Evaluate(
+      disk_->DebugHeadState(), static_cast<double>(now.us()) + pre,
+      candidate.lba.value(), candidate.pos, sectors, is_write,
+      overhead_mean_us_, bar);
+  if (plan.has_value()) {
+    plan->total_us += overhead_mean_us_;
+  }
+  return plan;
 }
 
 void OraclePredictor::OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors,

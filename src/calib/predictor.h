@@ -71,11 +71,10 @@ class HeadPositionPredictor : public AccessPredictor {
   double SlackUs() const override { return slack_us_; }
   double RotationUs() const override { return timing_->rotation_us(); }
   HeadState Head() const override { return head_; }
-  double AccessBoundUs(SimTime now, BlockAddr lba, uint32_t sectors,
-                       bool is_write) const override {
-    return timing_->AccessLowerBoundUs(head_, static_cast<double>(now.us()),
-                                       lba.value(), sectors, is_write);
-  }
+  std::optional<AccessPlan> Evaluate(SimTime now,
+                                     const AccessCandidate& candidate,
+                                     uint32_t sectors, bool is_write,
+                                     const PruneBar& bar) const override;
   void OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors, bool is_write,
                   double predicted_service_us) override;
   void OnCompletion(SimTime completion_us, BlockAddr lba,
@@ -128,8 +127,10 @@ class OraclePredictor : public AccessPredictor {
   // The bound mirrors Predict exactly: the mechanical timeline starts after
   // the mean pre-access overhead, and the mean overheads are folded into the
   // predicted total, so they must be folded into its lower bound too.
-  double AccessBoundUs(SimTime now, BlockAddr lba, uint32_t sectors,
-                       bool is_write) const override;
+  std::optional<AccessPlan> Evaluate(SimTime now,
+                                     const AccessCandidate& candidate,
+                                     uint32_t sectors, bool is_write,
+                                     const PruneBar& bar) const override;
   void OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors, bool is_write,
                   double predicted_service_us) override;
   void OnCompletion(SimTime completion_us, BlockAddr lba,

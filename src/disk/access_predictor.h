@@ -11,11 +11,28 @@
 #define MIMDRAID_SRC_DISK_ACCESS_PREDICTOR_H_
 
 #include <cstdint>
+#include <optional>
 
+#include "src/disk/layout.h"
 #include "src/disk/timing.h"
+#include "src/util/strong_types.h"
 #include "src/util/time.h"
 
 namespace mimdraid {
+
+// One physical access a queued request may be served by: the LBA and, once
+// the drive pool has queued it, the LBA's position on the slot's layout. The
+// position is only a hint — consumers use it while layout.Current(pos) and
+// resolve from the LBA otherwise.
+struct AccessCandidate {
+  AccessCandidate() = default;
+  // An unresolved candidate.
+  AccessCandidate(BlockAddr addr)  // NOLINT(google-explicit-constructor)
+      : lba(addr) {}
+
+  BlockAddr lba;
+  ResolvedPosition pos;
+};
 
 class AccessPredictor {
  public:
@@ -40,23 +57,18 @@ class AccessPredictor {
   // The predictor's belief about the current arm position.
   virtual HeadState Head() const = 0;
 
-  // Cheap lower bound on Predict(now, lba, ...).total_us, for scheduler
-  // pruning: max(seek to the candidate's cylinder, rotational wait from
-  // `now`) plus the minimum media transfer. A scheduler may skip the full
-  // Predict for a candidate whose bound already exceeds the best cost found
-  // so far (EffectiveServiceUs only ever adds to total_us, so a total_us
-  // bound also bounds the effective cost). The default returns 0 — always
-  // valid, prunes nothing — so custom predictors (including test doubles
-  // with synthetic cost functions) keep byte-exact scheduler behavior
-  // without implementing it.
-  virtual double AccessBoundUs(SimTime now, BlockAddr lba, uint32_t sectors,
-                               bool is_write) const {
-    (void)now;
-    (void)lba;
-    (void)sectors;
-    (void)is_write;
-    return 0.0;
-  }
+  // The scheduler's scoring entry point: Predict(now, candidate.lba, ...)
+  // unless a cheap lower bound on its total_us — max(seek to the candidate's
+  // cylinder, rotational wait from `now`) plus the minimum media transfer —
+  // clears `bar` (bound - bar.credit > bar.above), in which case nullopt.
+  // A scheduler passes its running best cost as bar.above: EffectiveServiceUs
+  // only ever adds to total_us, so a total_us bound also bounds the effective
+  // cost. Must return exactly what Predict returns whenever it does not
+  // prune, and must not mutate tracking state.
+  virtual std::optional<AccessPlan> Evaluate(SimTime now,
+                                             const AccessCandidate& candidate,
+                                             uint32_t sectors, bool is_write,
+                                             const PruneBar& bar) const = 0;
 
   // Called when a request is dispatched to the (idle) disk.
   virtual void OnDispatch(SimTime now, BlockAddr lba, uint32_t sectors,

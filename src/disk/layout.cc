@@ -68,6 +68,11 @@ Chs DiskLayout::ToChs(uint64_t lba) const {
       return it->second;
     }
   }
+  uint32_t zi = 0;
+  return NaturalChs(lba, &zi);
+}
+
+Chs DiskLayout::NaturalChs(uint64_t lba, uint32_t* zone_index) const {
   // Find the zone containing this LBA (zones are few; linear scan).
   uint32_t zi = 0;
   for (size_t i = extents_.size(); i-- > 0;) {
@@ -86,7 +91,28 @@ Chs DiskLayout::ToChs(uint64_t lba) const {
   chs.cylinder = global_track / geometry_->num_heads;
   chs.head = global_track % geometry_->num_heads;
   chs.sector = static_cast<uint32_t>(off % z.sectors_per_track);
+  *zone_index = zi;
   return chs;
+}
+
+ResolvedPosition DiskLayout::Resolve(uint64_t lba) const {
+  MIMDRAID_CHECK_LT(lba, num_data_sectors_);
+  ResolvedPosition pos;
+  pos.layout = this;
+  // Extents and geometry zones share indices, and a remap target stays in
+  // its LBA's zone (AddBadSector), so the natural walk's zone serves both.
+  uint32_t zi = 0;
+  pos.chs = NaturalChs(lba, &zi);
+  if (has_remaps()) {
+    auto it = remap_.find(lba);
+    if (it != remap_.end()) {
+      pos.chs = it->second;
+    }
+  }
+  const Zone& z = geometry_->zones[zi];
+  pos.sectors_per_track = z.sectors_per_track;
+  pos.angle = static_cast<double>(SlotOf(pos.chs, z)) / z.sectors_per_track;
+  return pos;
 }
 
 uint64_t DiskLayout::ToLba(const Chs& chs) const {

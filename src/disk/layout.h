@@ -34,6 +34,20 @@ struct Chs {
   bool operator==(const Chs&) const = default;
 };
 
+class DiskLayout;
+
+// An LBA's physical position, resolved ahead of the scheduling hot path: the
+// Chs plus what the timing model reads next — the track's sectors-per-track
+// and the rotational angle at which the sector's slot begins (exactly
+// SlotOf / SPT). Tagged with the layout it was resolved against; a default
+// (untagged) position stands for "not resolved".
+struct ResolvedPosition {
+  const DiskLayout* layout = nullptr;
+  Chs chs;
+  uint32_t sectors_per_track = 0;
+  double angle = 0.0;
+};
+
 class DiskLayout {
  public:
   // `reserved_tracks` are removed from the front of zone 0 (drive-internal
@@ -61,6 +75,22 @@ class DiskLayout {
 
   // Physical location of an LBA (following any remap). lba < num_data_sectors.
   Chs ToChs(uint64_t lba) const;
+
+  // ToChs plus the track's SPT and the slot's angle, tagged with this layout.
+  ResolvedPosition Resolve(uint64_t lba) const;
+  // `hint` when it is Current(), else Resolve(lba). The hint must have been
+  // resolved from this same `lba`.
+  ResolvedPosition Resolve(uint64_t lba, const ResolvedPosition& hint) const {
+    return Current(hint) ? hint : Resolve(lba);
+  }
+  // Whether `pos` still equals Resolve() of its LBA: it was resolved against
+  // this layout, and the layout has no remaps. Remaps are only ever added, so
+  // a position resolved before the first AddBadSector is refused from then
+  // on, and one resolved after it is refused from the start — no generation
+  // counter is needed.
+  bool Current(const ResolvedPosition& pos) const {
+    return pos.layout == this && !has_remaps();
+  }
 
   // Inverse mapping. Returns kInvalidLba for reserved/spare tracks or
   // positions whose *natural* LBA has been remapped away.
@@ -103,6 +133,9 @@ class DiskLayout {
   uint32_t GlobalTrack(uint32_t cylinder, uint32_t head) const {
     return cylinder * geometry_->num_heads + head;
   }
+
+  // Natural (pre-remap) position of `lba` and the index of its zone.
+  Chs NaturalChs(uint64_t lba, uint32_t* zone_index) const;
 
   const DiskGeometry* geometry_;
   std::vector<ZoneExtent> extents_;

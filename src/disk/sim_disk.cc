@@ -71,7 +71,7 @@ void SimDisk::Start(DiskOp op, BlockAddr addr, uint32_t sectors,
     }
     inflight_done_ = std::move(done);
     inflight_mechanical_ = false;
-    sim_->ScheduleAt(result.completion_us, [this] { CompleteInflight(); });
+    ScheduleCompletion(result.completion_us);
     return;
   }
 
@@ -146,7 +146,15 @@ void SimDisk::Start(DiskOp op, BlockAddr addr, uint32_t sectors,
   inflight_done_ = std::move(done);
   inflight_mechanical_ = true;
 
-  sim_->ScheduleAt(completion, [this] { CompleteInflight(); });
+  ScheduleCompletion(completion);
+}
+
+void SimDisk::ScheduleCompletion(SimTime at) {
+  auto fire = [this] { CompleteInflight(); };
+  // Every disk op schedules one of these; it must never heap-allocate.
+  static_assert(Simulator::EventFn::FitsInline<decltype(fire)>,
+                "SimDisk completion event outgrew Simulator::EventFn");
+  sim_->ScheduleAt(at, std::move(fire));
 }
 
 void SimDisk::CompleteInflight() {

@@ -170,6 +170,8 @@ class SimDisk {
   DiskOpRecord TraceFor(const DiskOpResult& result, uint64_t lba,
                         uint32_t sectors, bool is_write) const;
   // Fires at the simulated completion time of the in-flight operation.
+  // Schedules CompleteInflight at `at` (the op's completion time).
+  void ScheduleCompletion(SimTime at);
   void CompleteInflight();
 
   Simulator* sim_;

@@ -22,7 +22,7 @@ DiskTimingModel::DiskTimingModel(const DiskLayout* layout,
     max_sectors_per_track_ = std::max(max_sectors_per_track_,
                                       zone.sectors_per_track);
   }
-  min_slot_time_us_ = rotation_us_ / max_sectors_per_track_;
+  set_rotation_us(rotation_us_);
 }
 
 double DiskTimingModel::SpindleAngleAt(double t_us) const {
@@ -45,74 +45,70 @@ double DiskTimingModel::TimeUntilAngle(double t_us, double angle) const {
   // integer-microsecond timestamp rounding here), the access still makes it.
   // Without this, a perfectly chained sequential handoff can round past the
   // slot edge and be charged a full spurious rotation.
-  const double catch_frac = 2.0 / rotation_us_;
-  if (delta > 1.0 - catch_frac) {
+  if (delta > 1.0 - catch_frac_) {
     delta = 0.0;
   }
   return delta * rotation_us_;
 }
 
-double DiskTimingModel::SeekLowerBoundUs(const HeadState& from, uint64_t lba,
-                                         uint32_t sectors,
-                                         bool is_write) const {
-  const Chs chs = layout_->ToChs(lba);
-  double seek = 0.0;
-  if (chs.cylinder != from.cylinder) {
-    const uint32_t dist = chs.cylinder > from.cylinder
-                              ? chs.cylinder - from.cylinder
-                              : from.cylinder - chs.cylinder;
-    seek = profile_.SeekUs(dist, is_write);
+double DiskTimingModel::SeekUs(const HeadState& from, uint32_t cylinder,
+                               bool is_write) const {
+  if (cylinder == from.cylinder) {
+    return 0.0;
   }
-  // Same rounding margin as AccessLowerBoundUs: Plan() accumulates the
-  // transfer run by run, which can round an ulp below sectors * min_slot.
-  return seek + sectors * min_slot_time_us_ - 1e-3;
+  const uint32_t dist = cylinder > from.cylinder ? cylinder - from.cylinder
+                                                 : from.cylinder - cylinder;
+  return profile_.SeekUs(dist, is_write);
 }
 
-double DiskTimingModel::AccessLowerBoundUs(const HeadState& from,
-                                           double start_us, uint64_t lba,
-                                           uint32_t sectors,
-                                           bool is_write) const {
-  const Chs chs = layout_->ToChs(lba);
-  double seek = 0.0;
-  if (chs.cylinder != from.cylinder) {
-    const uint32_t dist = chs.cylinder > from.cylinder
-                              ? chs.cylinder - from.cylinder
-                              : from.cylinder - chs.cylinder;
-    seek = profile_.SeekUs(dist, is_write);
-  }
-  const Zone& z = layout_->geometry().ZoneOf(chs.cylinder);
-  const double wait = TimeUntilAngle(
-      start_us, static_cast<double>(layout_->SlotOf(chs, z)) /
-                    z.sectors_per_track);
+std::optional<AccessPlan> DiskTimingModel::Evaluate(
+    const HeadState& from, double start_us, uint64_t lba,
+    const ResolvedPosition& hint, uint32_t sectors, bool is_write,
+    double bound_offset, const PruneBar& bar) const {
+  MIMDRAID_CHECK_GT(sectors, 0u);
+  const ResolvedPosition pos = layout_->Resolve(lba, hint);
+  const double seek = SeekUs(from, pos.chs.cylinder, is_write);
+  const double wait = TimeUntilAngle(start_us, pos.angle);
   // Rounding margin: the bound and Plan() evaluate the same exact-arithmetic
   // quantities through different association orders, so the bound can land a
   // few ulps (~1e-11 us in practice) above the true total. One nanosecond of
   // slack keeps this a certain lower bound; the only cost is a spare full
   // prediction when a candidate's bound is within 1 ns of the running best.
   constexpr double kRoundingMarginUs = 1e-3;
-  return std::max(seek, wait) + sectors * min_slot_time_us_ - kRoundingMarginUs;
+  const double bound =
+      std::max(seek, wait) + sectors * min_slot_time_us_ - kRoundingMarginUs;
+  if (bound + bound_offset - bar.credit > bar.above) {
+    return std::nullopt;
+  }
+  return PlanFrom(from, start_us, lba, pos, seek, sectors, is_write);
 }
 
 AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
                                  uint64_t lba, uint32_t sectors,
                                  bool is_write) const {
   MIMDRAID_CHECK_GT(sectors, 0u);
-  const DiskGeometry& geo = layout_->geometry();
+  const ResolvedPosition pos = layout_->Resolve(lba);
+  return PlanFrom(from, start_us, lba, pos,
+                  SeekUs(from, pos.chs.cylinder, is_write), sectors, is_write);
+}
+
+AccessPlan DiskTimingModel::PlanFrom(const HeadState& from, double start_us,
+                                     uint64_t lba, ResolvedPosition pos,
+                                     double seek, uint32_t sectors,
+                                     bool is_write) const {
   AccessPlan plan;
   double t = start_us;
   HeadState cur = from;
   uint64_t next_lba = lba;
   uint32_t remaining = sectors;
 
-  while (remaining > 0) {
-    const Chs chs = layout_->ToChs(next_lba);
-    const Zone& zone = geo.ZoneOf(chs.cylinder);
-    const uint32_t spt = zone.sectors_per_track;
+  while (true) {
+    const uint32_t spt = pos.sectors_per_track;
     const double slot_time = rotation_us_ / spt;
 
     // Length of the physically contiguous run on this track: LBAs advance one
     // slot at a time until the track ends or a remapped sector breaks the run.
-    uint32_t run = spt - chs.sector;
+    uint32_t run = spt - pos.chs.sector;
     if (run > remaining) {
       run = remaining;
     }
@@ -130,23 +126,18 @@ AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
     }
 
     // Positioning: seek dominates a concurrent head switch.
-    if (chs.cylinder != cur.cylinder) {
-      const uint32_t dist = chs.cylinder > cur.cylinder
-                                ? chs.cylinder - cur.cylinder
-                                : cur.cylinder - chs.cylinder;
-      const double seek = profile_.SeekUs(dist, is_write);
+    if (pos.chs.cylinder != cur.cylinder) {
       plan.seek_us += seek;
       t += seek;
-    } else if (chs.head != cur.head) {
+    } else if (pos.chs.head != cur.head) {
       plan.seek_us += profile_.head_switch_us;
       t += profile_.head_switch_us;
     }
-    cur.cylinder = chs.cylinder;
-    cur.head = chs.head;
+    cur.cylinder = pos.chs.cylinder;
+    cur.head = pos.chs.head;
 
     // Rotational wait until the run's first slot comes under the head.
-    const uint32_t slot = layout_->SlotOf(chs, zone);
-    const double wait = TimeUntilAngle(t, static_cast<double>(slot) / spt);
+    const double wait = TimeUntilAngle(t, pos.angle);
     plan.rotational_us += wait;
     t += wait;
 
@@ -157,6 +148,12 @@ AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
 
     next_lba += run;
     remaining -= run;
+    if (remaining == 0) {
+      break;
+    }
+    // Later runs (track or remap crossings) resolve from the LBA.
+    pos = layout_->Resolve(next_lba);
+    seek = SeekUs(cur, pos.chs.cylinder, is_write);
   }
 
   plan.end_state = cur;

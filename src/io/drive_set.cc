@@ -106,6 +106,7 @@ bool DriveSet::LiveDrivesQuiet() const {
 }
 
 void DriveSet::EnqueueFg(SlotId slot, QueuedRequest entry) {
+  ResolveCandidates(disks_[slot.value()]->layout(), entry);
   if (options_.auditor != nullptr) {
     options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
   }
@@ -116,6 +117,7 @@ void DriveSet::EnqueueFg(SlotId slot, QueuedRequest entry) {
 }
 
 void DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
+  ResolveCandidates(disks_[slot.value()]->layout(), entry);
   if (options_.auditor != nullptr) {
     options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
   }
@@ -163,20 +165,25 @@ void DriveSet::MaybeDispatch(SlotId slot) {
   predictors_[slot.value()]->OnDispatch(sim_->Now(), pick.lba, entry.sectors,
                                 entry.op == DiskOp::kWrite, predicted);
   const BlockAddr chosen_lba = pick.lba;
-  disks_[slot.value()]->Start(
-      entry.op, chosen_lba, entry.sectors,
-      [this, slot, entry = std::move(entry), chosen_lba,
-       predicted](const DiskOpResult& result) {
-        predictors_[slot.value()]->OnCompletion(result.completion_us, chosen_lba,
-                                        entry.sectors);
-        if (options_.collector != nullptr && result.ok()) {
-          options_.collector->OnPrediction(
-              slot.value(), result.completion_us, predicted,
-              static_cast<double>(result.ServiceUs().us()));
-        }
-        HandleCompletion(slot, entry, chosen_lba, result);
-        MaybeDispatch(slot);
-      });
+  const uint32_t sectors = entry.sectors;
+  const DiskOp op = entry.op;
+  auto done = [this, slot, entry = std::move(entry), chosen_lba,
+               predicted](const DiskOpResult& result) {
+    predictors_[slot.value()]->OnCompletion(result.completion_us, chosen_lba,
+                                            entry.sectors);
+    if (options_.collector != nullptr && result.ok()) {
+      options_.collector->OnPrediction(
+          slot.value(), result.completion_us, predicted,
+          static_cast<double>(result.ServiceUs().us()));
+    }
+    HandleCompletion(slot, entry, chosen_lba, result);
+    MaybeDispatch(slot);
+  };
+  // One disk op per dispatch: growing QueuedRequest past the inline buffer
+  // would add a heap allocation to every one of them.
+  static_assert(DiskCompletionFn::FitsInline<decltype(done)>,
+                "dispatch completion closure outgrew DiskCompletionFn");
+  disks_[slot.value()]->Start(op, chosen_lba, sectors, std::move(done));
 }
 
 void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
@@ -246,7 +253,7 @@ uint64_t DriveSet::EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
   entry.id = next_entry_id_++;
   entry.op = op;
   entry.sectors = sectors;
-  entry.candidate_lbas = {lba};
+  entry.candidates = {lba};
   entry.arrival_us = sim_->Now();
   entry.attempts = attempts;
   const uint64_t id = entry.id;

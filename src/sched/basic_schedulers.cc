@@ -8,8 +8,11 @@
 namespace mimdraid {
 namespace {
 
-uint32_t CylinderOf(const ScheduleContext& ctx, BlockAddr lba) {
-  return ctx.layout->ToChs(lba.value()).cylinder;
+// The candidate's cylinder: its resolved position while that is current,
+// else a fresh translation of its LBA.
+uint32_t CylinderOf(const ScheduleContext& ctx,
+                    const AccessCandidate& candidate) {
+  return ctx.layout->Resolve(candidate.lba.value(), candidate.pos).chs.cylinder;
 }
 
 }  // namespace
@@ -24,7 +27,7 @@ SchedulerPick FcfsScheduler::Pick(const std::vector<QueuedRequest>& queue,
       best = i;
     }
   }
-  return SchedulerPick{best, queue[best].candidate_lbas.front(), 0.0};
+  return SchedulerPick{best, queue[best].candidates.front().lba, 0.0};
 }
 
 SchedulerPick SstfScheduler::Pick(const std::vector<QueuedRequest>& queue,
@@ -33,16 +36,16 @@ SchedulerPick SstfScheduler::Pick(const std::vector<QueuedRequest>& queue,
   MIMDRAID_CHECK(ctx.predictor != nullptr);
   const uint32_t head_cyl = ctx.predictor->Head().cylinder;
   size_t best = 0;
-  BlockAddr best_lba = queue[0].candidate_lbas.front();
+  BlockAddr best_lba = queue[0].candidates.front().lba;
   uint32_t best_dist = std::numeric_limits<uint32_t>::max();
   for (size_t i = 0; i < queue.size(); ++i) {
-    for (BlockAddr lba : queue[i].candidate_lbas) {
-      const uint32_t cyl = CylinderOf(ctx, lba);
+    for (const AccessCandidate& candidate : queue[i].candidates) {
+      const uint32_t cyl = CylinderOf(ctx, candidate);
       const uint32_t dist = cyl > head_cyl ? cyl - head_cyl : head_cyl - cyl;
       if (dist < best_dist) {
         best_dist = dist;
         best = i;
-        best_lba = lba;
+        best_lba = candidate.lba;
       }
     }
   }
@@ -58,7 +61,7 @@ size_t LookScheduler::PickIndex(const std::vector<QueuedRequest>& queue,
     uint32_t best_cyl = 0;
     SimTime best_arrival;
     for (size_t i = 0; i < queue.size(); ++i) {
-      const uint32_t cyl = CylinderOf(ctx, queue[i].candidate_lbas.front());
+      const uint32_t cyl = CylinderOf(ctx, queue[i].candidates.front());
       const bool eligible = direction_ > 0 ? cyl >= current_cylinder_
                                            : cyl <= current_cylinder_;
       if (!eligible) {
@@ -84,7 +87,7 @@ size_t LookScheduler::PickIndex(const std::vector<QueuedRequest>& queue,
 SchedulerPick LookScheduler::Pick(const std::vector<QueuedRequest>& queue,
                                   const ScheduleContext& ctx) {
   const size_t i = PickIndex(queue, ctx);
-  return SchedulerPick{i, queue[i].candidate_lbas.front(), 0.0};
+  return SchedulerPick{i, queue[i].candidates.front().lba, 0.0};
 }
 
 SchedulerPick ClookScheduler::Pick(const std::vector<QueuedRequest>& queue,
@@ -96,7 +99,7 @@ SchedulerPick ClookScheduler::Pick(const std::vector<QueuedRequest>& queue,
   size_t wrap_best = 0;
   uint32_t wrap_cyl = std::numeric_limits<uint32_t>::max();
   for (size_t i = 0; i < queue.size(); ++i) {
-    const uint32_t cyl = CylinderOf(ctx, queue[i].candidate_lbas.front());
+    const uint32_t cyl = CylinderOf(ctx, queue[i].candidates.front());
     if (cyl >= current_cylinder_ && (best == queue.size() || cyl < best_cyl)) {
       best = i;
       best_cyl = cyl;
@@ -111,7 +114,7 @@ SchedulerPick ClookScheduler::Pick(const std::vector<QueuedRequest>& queue,
     best_cyl = wrap_cyl;
   }
   current_cylinder_ = best_cyl;
-  return SchedulerPick{best, queue[best].candidate_lbas.front(), 0.0};
+  return SchedulerPick{best, queue[best].candidates.front().lba, 0.0};
 }
 
 }  // namespace mimdraid

@@ -10,12 +10,19 @@
 // to zone spare space, possibly on another cylinder, so per-entry shortcuts
 // keyed off one candidate's cylinder are unsound (schedulers bound costs per
 // replica for exactly this reason).
+//
+// DriveSet resolves every candidate's position when it queues the entry, so
+// scheduler picks do not re-translate the same LBAs on every dispatch
+// (DESIGN.md §5). The positions live inside the candidate vector the entry
+// already owns: the entry itself does not grow, which keeps DriveSet's
+// dispatch-completion closure inside DiskCompletionFn's inline buffer.
 #ifndef MIMDRAID_SRC_SCHED_QUEUED_REQUEST_H_
 #define MIMDRAID_SRC_SCHED_QUEUED_REQUEST_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/disk/access_predictor.h"
 #include "src/disk/sim_disk.h"
 #include "src/util/time.h"
 
@@ -25,7 +32,7 @@ struct QueuedRequest {
   uint64_t id = 0;
   DiskOp op = DiskOp::kRead;
   uint32_t sectors = 0;
-  std::vector<BlockAddr> candidate_lbas;
+  std::vector<AccessCandidate> candidates;
   SimTime arrival_us;
   // Background replica propagation (serviced only when the foreground queue
   // is empty; see Section 3.4).
@@ -39,6 +46,18 @@ struct QueuedRequest {
   // attempts + 1.
   uint32_t attempts = 0;
 };
+
+// Resolves every candidate of `entry` against `layout` (the layout of the
+// drive whose queue it joins). A layout with remaps leaves the candidates
+// unresolved: such a position would never be Current().
+inline void ResolveCandidates(const DiskLayout& layout, QueuedRequest& entry) {
+  if (layout.has_remaps()) {
+    return;
+  }
+  for (AccessCandidate& c : entry.candidates) {
+    c.pos = layout.Resolve(c.lba.value());
+  }
+}
 
 }  // namespace mimdraid
 

@@ -25,11 +25,15 @@ class AuditedScheduler final : public Scheduler {
                      const ScheduleContext& ctx) override {
     const SchedulerPick pick = inner_->Pick(queue, ctx);
     const bool index_ok = pick.queue_index < queue.size();
-    auditor_->OnSchedulerPick(
-        inner_->name(), queue.size(), pick.queue_index, pick.lba,
-        index_ok ? queue[pick.queue_index].candidate_lbas
-                 : std::vector<BlockAddr>{},
-        pick.predicted_service_us);
+    // The auditor checks LBAs; the resolved positions are the engine's.
+    lbas_.clear();
+    if (index_ok) {
+      for (const AccessCandidate& c : queue[pick.queue_index].candidates) {
+        lbas_.push_back(c.lba);
+      }
+    }
+    auditor_->OnSchedulerPick(inner_->name(), queue.size(), pick.queue_index,
+                              pick.lba, lbas_, pick.predicted_service_us);
     return pick;
   }
 
@@ -38,6 +42,7 @@ class AuditedScheduler final : public Scheduler {
  private:
   std::unique_ptr<Scheduler> inner_;
   InvariantAuditor* auditor_;
+  std::vector<BlockAddr> lbas_;  // reused per pick
 };
 
 }  // namespace

@@ -35,6 +35,16 @@ class InlineFn;  // primary template intentionally undefined
 template <typename R, typename... Args, size_t kInlineBytes>
 class InlineFn<R(Args...), kInlineBytes> {
  public:
+  // Whether a callable of type F lives in the inline buffer rather than on
+  // the heap. Hot-path construction sites static_assert it, so a capture that
+  // outgrows the buffer fails the build instead of quietly costing one
+  // allocation per call.
+  template <typename F>
+  static constexpr bool FitsInline =
+      sizeof(std::decay_t<F>) <= kInlineBytes &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
   InlineFn() = default;
 
   template <typename F,
@@ -43,9 +53,7 @@ class InlineFn<R(Args...), kInlineBytes> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): callable adaptor
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (FitsInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       invoke_ = &InvokeInline<Fn>;
       manage_ = &ManageInline<Fn>;

@@ -31,7 +31,7 @@ class AsatfTest : public ::testing::Test {
     for (uint32_t h = 0; h < 12 && lba == kInvalidLba; ++h) {
       lba = disk_.layout().ToLba(Chs{cylinder, h, 0});
     }
-    r.candidate_lbas = {BlockAddr(lba)};
+    r.candidates = {BlockAddr(lba)};
     r.arrival_us = arrival;
     return r;
   }

@@ -165,6 +165,11 @@ struct Shape {
   SchedulerKind scheduler;
 };
 
+// Without this, gtest prints a Shape as its raw bytes, which include the
+// std::string's heap address: the listed test names (and so the ctest names)
+// would change from one build or run to the next.
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
+
 class Harness {
  public:
   Harness(const Shape& shape, uint64_t seed) : rng_(seed) {

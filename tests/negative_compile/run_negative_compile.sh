@@ -1,10 +1,10 @@
 #!/bin/sh
 # Negative-compile gate, run from ctest.
 #
-# The control case must compile; each negative case must be rejected by the
-# compiler with a diagnostic that names the dimensional violation, proving
-# the strong types actually forbid the operation (not that the file is
-# broken for an unrelated reason).
+# The control cases must compile; each negative case must be rejected by the
+# compiler with a diagnostic that names the violation, proving the strong
+# types (or the InlineFn fit guard) actually forbid it — not that the file
+# is broken for an unrelated reason.
 set -e
 cxx="$1"
 repo="$2"
@@ -16,9 +16,11 @@ fi
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
 
-"$cxx" -std=c++20 -fsyntax-only -I"$repo" \
-    "$repo/tests/negative_compile/control_ok.cc"
-echo "PASS control_ok.cc compiles"
+for control in control_ok.cc inline_fn_fits_ok.cc; do
+  "$cxx" -std=c++20 -fsyntax-only -I"$repo" \
+      "$repo/tests/negative_compile/$control"
+  echo "PASS $control compiles"
+done
 
 expect_reject() {
   file="$1"
@@ -38,3 +40,4 @@ expect_reject() {
 
 expect_reject simtime_plus_simtime.cc "operator\+"
 expect_reject slotid_to_blockaddr.cc "convert|no matching"
+expect_reject inline_fn_oversize.cc "outgrew DiskCompletionFn"

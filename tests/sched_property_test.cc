@@ -32,7 +32,7 @@ class SchedulerProperty : public ::testing::TestWithParam<SchedulerKind> {
     r.op = rng_.Bernoulli(0.7) ? DiskOp::kRead : DiskOp::kWrite;
     r.sectors = 1 + static_cast<uint32_t>(rng_.UniformU64(16));
     for (int c = 0; c < candidates; ++c) {
-      r.candidate_lbas.push_back(
+      r.candidates.push_back(
           BlockAddr(rng_.UniformU64(disk_.layout().num_data_sectors() - r.sectors)));
     }
     r.arrival_us = SimTime(static_cast<int64_t>(rng_.UniformU64(100000)));
@@ -58,8 +58,12 @@ TEST_P(SchedulerProperty, PickIsAlwaysValid) {
     ctx_.now = SimTime(trial * 5000);
     const SchedulerPick pick = sched->Pick(queue, ctx_);
     ASSERT_LT(pick.queue_index, queue.size());
-    const auto& cands = queue[pick.queue_index].candidate_lbas;
-    EXPECT_NE(std::find(cands.begin(), cands.end(), pick.lba), cands.end());
+    const auto& cands = queue[pick.queue_index].candidates;
+    EXPECT_NE(std::find_if(cands.begin(), cands.end(),
+                           [&](const AccessCandidate& c) {
+                             return c.lba == pick.lba;
+                           }),
+              cands.end());
   }
 }
 
@@ -83,6 +87,76 @@ TEST_P(SchedulerProperty, DrainsEveryRequestExactlyOnce) {
   EXPECT_TRUE(ids.empty());
 }
 
+// Resolving candidate positions at enqueue is invisible to every policy:
+// two instances of one scheduler, one draining entries resolved the way
+// DriveSet resolves them and one draining the same entries with no
+// positions, agree on every pick (index, replica, prediction to the bit).
+// Each pick is serviced on the disk so the head moves between picks, and
+// requests keep arriving mid-drain. Scenario 1 promotes a spare of another
+// geometry under the queued entries (their positions name the old drive's
+// layout); scenario 2 remaps the LBAs of queued entries (positions resolved
+// before the first remap).
+TEST_P(SchedulerProperty, ResolvedPositionsNeverChangeAPick) {
+  SimDisk spare(&sim_, MakeSt39133Geometry(), MakeSt39133SeekProfile(),
+                DiskNoiseModel::None(), 2, 333.0);
+  OraclePredictor spare_predictor(&spare, 0.0);
+  uint64_t next_id = 1;
+  for (int scenario = 0; scenario < 3; ++scenario) {
+    auto with_positions = MakeScheduler(GetParam());
+    auto without_positions = MakeScheduler(GetParam());
+    SimDisk* disk = &disk_;
+    ScheduleContext ctx = ctx_;
+    std::vector<QueuedRequest> resolved;
+    std::vector<QueuedRequest> stripped;
+    const auto enqueue = [&](QueuedRequest r) {
+      r.arrival_us = sim_.Now();
+      stripped.push_back(r);
+      ResolveCandidates(*ctx.layout, r);
+      resolved.push_back(std::move(r));
+    };
+    for (int i = 0; i < 24; ++i) {
+      enqueue(RandomRequest(next_id++, 1 + static_cast<int>(rng_.UniformU64(3))));
+    }
+    if (scenario < 2) {
+      ASSERT_TRUE(ctx.layout->Current(resolved.front().candidates.front().pos));
+    }
+    for (int step = 0; !resolved.empty(); ++step) {
+      if (step == 8 && scenario == 1) {
+        disk = &spare;
+        ctx.layout = &spare.layout();
+        ctx.predictor = &spare_predictor;
+      }
+      if (step == 8 && scenario == 2) {
+        for (size_t i = 0; i < resolved.size(); i += 2) {
+          (void)disk_.mutable_layout().AddBadSector(
+              resolved[i].candidates.back().lba.value());
+        }
+        ASSERT_TRUE(disk_.layout().has_remaps());
+      }
+      if (step % 5 == 0 && step < 20) {
+        enqueue(RandomRequest(next_id++, 2));
+      }
+      ctx.now = sim_.Now();
+      const SchedulerPick a = with_positions->Pick(resolved, ctx);
+      const SchedulerPick b = without_positions->Pick(stripped, ctx);
+      ASSERT_EQ(a.queue_index, b.queue_index)
+          << "scenario=" << scenario << " step=" << step;
+      ASSERT_EQ(a.lba, b.lba) << "scenario=" << scenario << " step=" << step;
+      ASSERT_EQ(a.predicted_service_us, b.predicted_service_us)
+          << "scenario=" << scenario << " step=" << step;
+      const QueuedRequest entry = resolved[a.queue_index];
+      resolved.erase(resolved.begin() + static_cast<ptrdiff_t>(a.queue_index));
+      stripped.erase(stripped.begin() + static_cast<ptrdiff_t>(a.queue_index));
+      bool done = false;
+      disk->Start(entry.op, a.lba, entry.sectors,
+                  [&](const DiskOpResult&) { done = true; });
+      while (!done) {
+        sim_.Step();
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, SchedulerProperty,
     ::testing::Values(SchedulerKind::kFcfs, SchedulerKind::kSstf,
@@ -98,7 +172,8 @@ TEST(SchedulerOptimality, SatfMinimizesOverPrimaries) {
   SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
                DiskNoiseModel::None(), 1, 0.0);
   OraclePredictor predictor(&disk, 0.0);
-  ScheduleContext ctx{SimTime(12345), &predictor, &disk.layout()};
+  ScheduleContext ctx{SimTime(12345), &predictor, &disk.layout(), nullptr,
+                      SlotId()};
   Rng rng(7);
   auto satf = MakeScheduler(SchedulerKind::kSatf);
   for (int trial = 0; trial < 30; ++trial) {
@@ -108,7 +183,7 @@ TEST(SchedulerOptimality, SatfMinimizesOverPrimaries) {
       r.id = i + 1;
       r.op = DiskOp::kRead;
       r.sectors = 4;
-      r.candidate_lbas = {BlockAddr(rng.UniformU64(disk.num_sectors() - 4))};
+      r.candidates = {BlockAddr(rng.UniformU64(disk.num_sectors() - 4))};
       queue.push_back(std::move(r));
     }
     ctx.now = SimTime(trial * 7777);
@@ -116,7 +191,7 @@ TEST(SchedulerOptimality, SatfMinimizesOverPrimaries) {
     double best = 1e18;
     for (const QueuedRequest& r : queue) {
       const AccessPlan plan =
-          predictor.Predict(ctx.now, r.candidate_lbas[0], r.sectors, false);
+          predictor.Predict(ctx.now, r.candidates[0].lba, r.sectors, false);
       best = std::min(best, predictor.EffectiveServiceUs(plan));
     }
     const AccessPlan chosen = predictor.Predict(
@@ -131,7 +206,8 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
   SimDisk disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
                DiskNoiseModel::None(), 1, 0.0);
   OraclePredictor predictor(&disk, 0.0);
-  ScheduleContext ctx{SimTime(0), &predictor, &disk.layout()};
+  ScheduleContext ctx{SimTime(0), &predictor, &disk.layout(), nullptr,
+                      SlotId()};
   Rng rng(9);
   auto rlook = MakeScheduler(SchedulerKind::kRlook);
   auto look = MakeScheduler(SchedulerKind::kLook);
@@ -143,7 +219,7 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
     r.op = DiskOp::kRead;
     r.sectors = 1;
     const uint64_t primary = rng.UniformU64(disk.num_sectors() - 1);
-    r.candidate_lbas = {BlockAddr(primary)};
+    r.candidates = {BlockAddr(primary)};
     q2.push_back(r);  // LOOK sees only the primary
     // RLOOK also sees a same-cylinder alternate.
     const Chs chs = disk.layout().ToChs(primary);
@@ -151,7 +227,7 @@ TEST(SchedulerOptimality, RlookFollowsLookRequestOrder) {
     const uint64_t alt =
         disk.layout().ToLba(Chs{chs.cylinder, other_head, chs.sector});
     if (alt != kInvalidLba) {
-      r.candidate_lbas.push_back(BlockAddr(alt));
+      r.candidates.push_back(BlockAddr(alt));
     }
     q1.push_back(std::move(r));
   }
@@ -184,7 +260,7 @@ class LookEdgeCases : public ::testing::Test {
     r.id = id;
     r.op = DiskOp::kRead;
     r.sectors = 1;
-    r.candidate_lbas = {BlockAddr(lba)};
+    r.candidates = {BlockAddr(lba)};
     r.arrival_us = SimTime(arrival);
     return r;
   }
@@ -286,7 +362,7 @@ class RsatfMaxScan : public ::testing::Test {
     r.op = DiskOp::kRead;
     r.sectors = 1;
     for (int c = 0; c < candidates; ++c) {
-      r.candidate_lbas.push_back(BlockAddr(rng_.UniformU64(disk_.num_sectors() - 1)));
+      r.candidates.push_back(BlockAddr(rng_.UniformU64(disk_.num_sectors() - 1)));
     }
     r.arrival_us = SimTime(static_cast<int64_t>(rng_.UniformU64(1000)));
     return r;
@@ -328,7 +404,7 @@ TEST_F(RsatfMaxScan, CheaperCandidateBeyondWindowIsIgnored) {
   constexpr size_t kWindow = 4;
   auto cost = [&](const QueuedRequest& r) {
     const AccessPlan plan =
-        predictor_.Predict(ctx_.now, r.candidate_lbas[0], r.sectors, false);
+        predictor_.Predict(ctx_.now, r.candidates[0].lba, r.sectors, false);
     return predictor_.EffectiveServiceUs(plan);
   };
   std::vector<QueuedRequest> queue;

@@ -32,7 +32,7 @@ class SchedTest : public ::testing::Test {
       lba = disk_.layout().ToLba(Chs{cylinder, h, 0});
     }
     EXPECT_NE(lba, kInvalidLba);
-    r.candidate_lbas = {BlockAddr(lba)};
+    r.candidates = {BlockAddr(lba)};
     r.arrival_us = arrival;
     return r;
   }
@@ -67,7 +67,7 @@ TEST_F(SchedTest, SstfConsidersAllReplicas) {
   SstfScheduler sched;
   std::vector<QueuedRequest> q;
   QueuedRequest multi = ReqAtCylinder(50);
-  multi.candidate_lbas.push_back(BlockAddr(disk_.layout().ToLba(Chs{1, 0, 0})));
+  multi.candidates.push_back(BlockAddr(disk_.layout().ToLba(Chs{1, 0, 0})));
   q.push_back(ReqAtCylinder(10));
   q.push_back(multi);
   const SchedulerPick pick = sched.Pick(q, ctx_);
@@ -150,13 +150,13 @@ TEST_F(SchedTest, RsatfChoosesMinimumCostReplica) {
   QueuedRequest r = ReqAtCylinder(40);
   const uint64_t near_lba = disk_.layout().ToLba(Chs{2, 0, 0});
   ASSERT_NE(near_lba, kInvalidLba);
-  r.candidate_lbas.push_back(BlockAddr(near_lba));
+  r.candidates.push_back(BlockAddr(near_lba));
   q.push_back(r);
   const SchedulerPick pick = sched.Pick(q, ctx_);
   // Whichever replica it picks must have the minimal predicted service time.
   double best = std::numeric_limits<double>::infinity();
-  for (BlockAddr cand : r.candidate_lbas) {
-    const AccessPlan plan = predictor_.Predict(ctx_.now, cand, 1, false);
+  for (const AccessCandidate& cand : r.candidates) {
+    const AccessPlan plan = predictor_.Predict(ctx_.now, cand.lba, 1, false);
     best = std::min(best, predictor_.EffectiveServiceUs(plan));
   }
   EXPECT_DOUBLE_EQ(pick.predicted_service_us, best);
@@ -173,7 +173,7 @@ TEST_F(SchedTest, RlookFollowsLookOrderThenBestReplica) {
   QueuedRequest near = ReqAtCylinder(5);
   const uint64_t replica2 = disk_.layout().ToLba(Chs{5, 1, 20});
   ASSERT_NE(replica2, kInvalidLba);
-  near.candidate_lbas.push_back(BlockAddr(replica2));
+  near.candidates.push_back(BlockAddr(replica2));
   q.push_back(ReqAtCylinder(50));
   q.push_back(near);
   const SchedulerPick pick = sched.Pick(q, ctx_);
@@ -192,7 +192,7 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
   for (uint32_t s = 0; s < 30; s += 3) {
     std::vector<QueuedRequest> q;
     QueuedRequest r = ReqAtCylinder(7);
-    const Chs base = disk_.layout().ToChs(r.candidate_lbas[0].value());
+    const Chs base = disk_.layout().ToChs(r.candidates[0].lba.value());
     // Opposite-angle replica on the next head.
     const double angle = disk_.layout().AngleOf(base);
     double opposite = angle + 0.5 + static_cast<double>(s) / 60.0;
@@ -201,7 +201,7 @@ TEST_F(SchedTest, RsatfReplicaChoiceReducesPredictedCost) {
     }
     const uint64_t rep = disk_.layout().LbaForAngle(7, base.head + 1, opposite);
     ASSERT_NE(rep, kInvalidLba);
-    r.candidate_lbas.push_back(BlockAddr(rep));
+    r.candidates.push_back(BlockAddr(rep));
     q.push_back(r);
     ScheduleContext ctx = ctx_;
     ctx.now = SimTime(static_cast<int64_t>(s) * 137);

@@ -2,7 +2,11 @@
 // access on every geometry.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <tuple>
+#include <vector>
 
 #include "src/disk/timing.h"
 #include "src/util/rng.h"
@@ -123,7 +127,30 @@ TEST_P(TimingProperty, WriteNeverFasterThanReadFromSameState) {
   }
 }
 
-// The scheduler-pruning lower bounds must never exceed the full plan's
+// The scheduler-pruning lower bound on Plan(...).total_us, written out from
+// public primitives only (ToChs, the zone, SlotOf, the seek curve,
+// TimeUntilAngle): the reference the fused Evaluate pass must match bit for
+// bit.
+double ReferenceBoundUs(const DiskTimingModel& model, const HeadState& from,
+                        double start_us, uint64_t lba, uint32_t sectors,
+                        bool is_write) {
+  const DiskLayout& layout = model.layout();
+  const Chs chs = layout.ToChs(lba);
+  double seek = 0.0;
+  if (chs.cylinder != from.cylinder) {
+    const uint32_t dist = chs.cylinder > from.cylinder
+                              ? chs.cylinder - from.cylinder
+                              : from.cylinder - chs.cylinder;
+    seek = model.seek_profile().SeekUs(dist, is_write);
+  }
+  const Zone& z = layout.geometry().ZoneOf(chs.cylinder);
+  const double wait = model.TimeUntilAngle(
+      start_us,
+      static_cast<double>(layout.SlotOf(chs, z)) / z.sectors_per_track);
+  return std::max(seek, wait) + sectors * model.MinSlotTimeUs() - 1e-3;
+}
+
+// The scheduler-pruning lower bound must never exceed the full plan's
 // total: a violation would let a scheduler skip a candidate that could have
 // won the scan, silently changing dispatch order. Checked with and without
 // bad-sector remaps (a remap relocates an LBA to zone spare space, possibly
@@ -147,14 +174,132 @@ TEST_P(TimingProperty, LowerBoundsNeverExceedPlanTotal) {
           rng_.UniformU64(layout_.num_data_sectors() - sectors);
       const bool is_write = rng_.Bernoulli(0.5);
       const AccessPlan p = model_.Plan(head, start, lba, sectors, is_write);
-      ASSERT_LE(model_.SeekLowerBoundUs(head, lba, sectors, is_write),
-                p.total_us)
-          << "round=" << round << " lba=" << lba << " sectors=" << sectors;
-      ASSERT_LE(model_.AccessLowerBoundUs(head, start, lba, sectors, is_write),
+      ASSERT_LE(ReferenceBoundUs(model_, head, start, lba, sectors, is_write),
                 p.total_us)
           << "round=" << round << " lba=" << lba << " sectors=" << sectors
           << " start=" << start;
     }
+  }
+}
+
+// The fused bound+plan pass (what every SATF-class pick runs) is exact: for
+// any prune threshold — including thresholds one ulp either side of the
+// bound — it prunes exactly when the reference bound says to, and otherwise
+// returns Plan() field for field. Checked with positions resolved ahead of
+// time and with none, across remap loads (positions resolved before the
+// first remap must be refused after it) and rotation refreshes (which move
+// the slot floor and the catch tolerance), and on multi-run accesses that
+// cross tracks.
+TEST_P(TimingProperty, FusedEvaluateMatchesBoundAndPlanExactly) {
+  std::vector<ResolvedPosition> early_hints;
+  std::vector<uint64_t> early_lbas;
+  for (int round = 0; round < 4; ++round) {
+    if (round == 1) {
+      model_.set_rotation_us(model_.rotation_us() * 0.9987);
+      model_.set_spindle_phase_us(12.5);
+    } else if (round == 2) {
+      for (int i = 0; i < 200; ++i) {
+        layout_.AddBadSector(rng_.UniformU64(layout_.num_data_sectors()));
+      }
+      // Remap some of the very LBAs whose positions were resolved earlier.
+      for (size_t i = 0; i < early_lbas.size(); i += 7) {
+        layout_.AddBadSector(early_lbas[i]);
+      }
+    } else if (round == 3) {
+      model_.set_rotation_us(model_.rotation_us() * 1.0021);
+    }
+    for (int i = 0; i < 3000; ++i) {
+      const HeadState head = RandomHead();
+      const double start = rng_.UniformDouble(0, 1e9);
+      // Up to ~2.5 tracks of the widest zone: many accesses split into runs.
+      const uint32_t sectors = 1 + static_cast<uint32_t>(rng_.UniformU64(
+                                       2 * geo_.zones.front().sectors_per_track +
+                                       64));
+      uint64_t lba;
+      ResolvedPosition hint;
+      if (round > 0 && i % 2 == 0 && !early_lbas.empty()) {
+        const size_t k = rng_.UniformU64(early_lbas.size());
+        lba = early_lbas[k];
+        hint = early_hints[k];
+      } else {
+        lba = rng_.UniformU64(layout_.num_data_sectors() - 600);
+        if (i % 3 != 0) {
+          hint = layout_.Resolve(lba);
+        }
+        if (round == 0) {
+          early_lbas.push_back(lba);
+          early_hints.push_back(layout_.Resolve(lba));
+        }
+      }
+      const bool is_write = rng_.Bernoulli(0.5);
+      const AccessPlan plan = model_.Plan(head, start, lba, sectors, is_write);
+      const double bound =
+          ReferenceBoundUs(model_, head, start, lba, sectors, is_write);
+      const double offset = i % 4 == 0 ? 137.25 : 0.0;
+      const double credit = i % 5 == 0 ? rng_.UniformDouble(0, 5000) : 0.0;
+      const double edge = bound + offset - credit;
+      for (const double above :
+           {std::numeric_limits<double>::infinity(), edge,
+            std::nextafter(edge, -std::numeric_limits<double>::infinity()),
+            std::nextafter(edge, std::numeric_limits<double>::infinity()),
+            edge - 250.0, plan.total_us}) {
+        const std::optional<AccessPlan> fused = model_.Evaluate(
+            head, start, lba, hint, sectors, is_write, offset,
+            PruneBar{above, credit});
+        const bool pruned = bound + offset - credit > above;
+        ASSERT_EQ(fused.has_value(), !pruned)
+            << "round=" << round << " lba=" << lba << " above=" << above;
+        if (fused.has_value()) {
+          ASSERT_TRUE(*fused == plan)
+              << "round=" << round << " lba=" << lba << " sectors=" << sectors
+              << " total " << fused->total_us << " vs " << plan.total_us;
+        }
+      }
+    }
+  }
+}
+
+// A hint tagged with another layout (a promoted spare's, a rerouted entry's)
+// is never trusted, even when it names a different position.
+TEST_P(TimingProperty, EvaluateIgnoresHintsFromAnotherLayout) {
+  DiskLayout other(&geo_);
+  for (int i = 0; i < 500; ++i) {
+    const HeadState head = RandomHead();
+    const double start = rng_.UniformDouble(0, 1e8);
+    const uint64_t lba = rng_.UniformU64(layout_.num_data_sectors() - 8);
+    const uint64_t elsewhere = rng_.UniformU64(other.num_data_sectors() - 8);
+    const ResolvedPosition foreign = other.Resolve(elsewhere);
+    ASSERT_FALSE(layout_.Current(foreign));
+    const std::optional<AccessPlan> fused =
+        model_.Evaluate(head, start, lba, foreign, 8, false, 0.0, PruneBar{});
+    ASSERT_TRUE(fused.has_value());
+    ASSERT_TRUE(*fused == model_.Plan(head, start, lba, 8, false));
+  }
+}
+
+// set_rotation_us refreshes everything derived from the period: a model
+// re-estimated to R must time rotations exactly like one built at R.
+TEST_P(TimingProperty, RotationRefreshMatchesFreshModel) {
+  const double old_rotation = model_.rotation_us();
+  const double rotation = old_rotation * 1.00037;
+  model_.set_rotation_us(rotation);
+  const DiskTimingModel fresh(&layout_, profile_, /*phase=*/777.0, rotation);
+  EXPECT_EQ(model_.MinSlotTimeUs(), fresh.MinSlotTimeUs());
+  // Remaining rotation (as a fraction) to a target just past the head: well
+  // inside the catch tolerance, and between the old and the new tolerance,
+  // where only a refreshed 2 / R gives the fresh model's answer.
+  const double just_past = 1.5 / rotation;
+  const double between = 1.0 / old_rotation + 1.0 / rotation;
+  for (int i = 0; i < 3000; ++i) {
+    const double t = rng_.UniformDouble(0, 1e9);
+    double angle = rng_.UniformDouble(0, 1);
+    if (i % 3 != 0) {
+      angle = std::fmod(fresh.SpindleAngleAt(t) + 1.0 -
+                            (i % 3 == 1 ? just_past : between),
+                        1.0);
+    }
+    ASSERT_EQ(model_.TimeUntilAngle(t, angle), fresh.TimeUntilAngle(t, angle))
+        << "t=" << t << " angle=" << angle;
   }
 }
 

@@ -8,11 +8,18 @@
 # the diff so reviewers see the before/after. Numbers from other machines are
 # for local comparison only — don't commit them.
 #
-# Usage: tools/record_bench.sh [build-dir] [output.json]
-#        (defaults: build BENCH_sim.json)
+# With a third argument, a google-benchmark --benchmark_filter regex, only
+# the matching benchmarks run and are merged into the existing file: an entry
+# of the same name is replaced, a new one appended, every other entry (and
+# the machine block) kept as it is. That is how a change adds its own
+# benchmarks to the baseline without re-recording the rest.
+#
+# Usage: tools/record_bench.sh [build-dir] [output.json] [filter]
+#        (defaults: build BENCH_sim.json, no filter = record everything)
 set -e
 build_dir="${1:-build}"
 out_name="${2:-BENCH_sim.json}"
+filter="${3:-}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 bench="$repo/$build_dir/bench/bench_micro_core"
 
@@ -24,10 +31,11 @@ fi
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 "$bench" --benchmark_format=json --benchmark_out="$raw" \
-    --benchmark_out_format=json >&2
+    --benchmark_out_format=json ${filter:+--benchmark_filter="$filter"} >&2
 
-python3 - "$raw" "$repo/$out_name" <<'EOF'
+python3 - "$raw" "$repo/$out_name" "$filter" <<'EOF'
 import json
+import os
 import platform
 import sys
 
@@ -57,8 +65,16 @@ out = {
     },
     "benchmarks": benchmarks,
 }
+if sys.argv[3] and os.path.exists(sys.argv[2]):
+    with open(sys.argv[2]) as f:
+        merged = json.load(f)
+    fresh = {b["name"]: b for b in benchmarks}
+    kept = [fresh.pop(b["name"], b) for b in merged["benchmarks"]]
+    merged["benchmarks"] = kept + list(fresh.values())
+    out = merged
 with open(sys.argv[2], "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print(f"wrote {sys.argv[2]} ({len(benchmarks)} entries)")
+print(f"wrote {sys.argv[2]} ({len(benchmarks)} entries recorded, "
+      f"{len(out['benchmarks'])} in file)")
 EOF
