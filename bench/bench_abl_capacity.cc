@@ -63,20 +63,21 @@ Outcome RunArray(const ArrayAspect& aspect, SchedulerKind sched) {
 
 // Unlike RunArray's mixed pass, the parity rigs never set
 // foreground_write_propagation: that knob is mirror-only (delayed replica
-// propagation vs writing all replicas in the foreground) and Raid5Options()/
-// EcOptions() ignore it — a parity small write always does its full RMW or
+// propagation vs writing all replicas in the foreground) and EcOptions()
+// ignores it — a parity small write always does its full RMW or
 // reconstruct-write cycle in the foreground. Setting it here would be dead
 // config implying a comparison knob that doesn't exist.
 Outcome RunRaid5() {
   Outcome out{};
   out.capacity_frac = static_cast<double>(kDisks - 1) / kDisks;
   for (int pass = 0; pass < 2; ++pass) {
-    Raid5RigConfig rig;
+    EcRigConfig rig;
+    rig.backend = ArrayBackendKind::kRaid5;
     rig.disks = kDisks;
     rig.dataset_sectors = kDataset;
     rig.max_scan = 128;
     rig.seed = 41;
-    std::unique_ptr<MimdRaid> array = MakeRaid5Array(rig);
+    std::unique_ptr<MimdRaid> array = MakeEcArray(rig);
 
     ClosedLoopOptions loop;
     loop.dataset_sectors = kDataset;

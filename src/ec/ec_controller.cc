@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/util/check.h"
@@ -79,18 +80,21 @@ void EcController::AuditQuiescent() const {
 void EcController::ExportStats(StatsRegistry* registry) const {
   MIMDRAID_CHECK(registry != nullptr);
   ExportFaultStats(drives_->fstats(), registry);
-  registry->Set("ec.reads_completed",
+  const std::string prefix =
+      layout_->scheme() == EcLayout::Scheme::kRaid5 ? "raid5." : "ec.";
+  registry->Set(prefix + "reads_completed",
                 static_cast<double>(stats_.reads_completed));
-  registry->Set("ec.writes_completed",
+  registry->Set(prefix + "writes_completed",
                 static_cast<double>(stats_.writes_completed));
-  registry->Set("ec.rmw_writes", static_cast<double>(stats_.rmw_writes));
-  registry->Set("ec.reconstruct_writes",
+  registry->Set(prefix + "rmw_writes", static_cast<double>(stats_.rmw_writes));
+  registry->Set(prefix + "reconstruct_writes",
                 static_cast<double>(stats_.reconstruct_writes));
-  registry->Set("ec.degraded_reads",
+  registry->Set(prefix + "degraded_reads",
                 static_cast<double>(stats_.degraded_reads));
-  registry->Set("ec.degraded_writes",
+  registry->Set(prefix + "degraded_writes",
                 static_cast<double>(stats_.degraded_writes));
-  registry->Set("ec.rebuilt_rows", static_cast<double>(stats_.rebuilt_rows));
+  registry->Set(prefix + "rebuilt_rows",
+                static_cast<double>(stats_.rebuilt_rows));
 }
 
 bool EcController::FailDisk(SlotId disk) {
@@ -118,12 +122,6 @@ void EcController::OnEntryComplete(SlotId /*disk*/,
 
 void EcController::OnSlotFailed(SlotId disk) {
   drives_->FailQueuedCommands(disk);
-}
-
-bool EcController::SparePromotionAllowed(SlotId /*disk*/) {
-  // Always: a promotion while another slot is rebuilding queues behind it
-  // (the slot stays marked failed until its own pass starts).
-  return true;
 }
 
 uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
@@ -436,9 +434,18 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
     CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
     return;
   }
-  const bool use_rmw =
-      rmw_valid &&
-      (!rcw_valid || rmw_reads <= static_cast<uint32_t>(rcw_reads.size()));
+  bool use_rmw = false;
+  if (layout_->scheme() == EcLayout::Scheme::kRaid5) {
+    // RAID-5's rule: a unit-granular controller cannot see sibling fragments,
+    // so only a full-unit write whose siblings are all readable recomputes
+    // parity from them; everything else deltas against old data + parity.
+    use_rmw = rmw_valid && !(others_readable &&
+                             frag.sectors == layout_->stripe_unit_sectors());
+  } else {
+    use_rmw =
+        rmw_valid &&
+        (!rcw_valid || rmw_reads <= static_cast<uint32_t>(rcw_reads.size()));
+  }
 
   // Shared handler for every read-phase sub-op of a write fragment.
   auto read_cb = [this, work](const DiskOpResult& r, uint64_t id) {

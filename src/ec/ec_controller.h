@@ -2,24 +2,27 @@
 // over GF(2^8), degraded reads via matrix-inversion reconstruction,
 // multi-fault tolerance up to m concurrent failures with multi-slot rebuild,
 // and per-request parity-update strategy selection (read-modify-write vs
-// reconstruct-write by I/O-count argmin).
+// reconstruct-write).
 //
-// This is the third ArrayBackend and the capacity-efficient, deep-redundancy
-// end of the paper's frontier: k+1 reproduces RAID-5's geometry, k+2 is
-// RAID-6, larger m buys tolerance of m concurrent failures at k/(k+m)
-// capacity efficiency. Like Raid5Controller it is a pure policy layer: the
-// per-drive machinery — scheduler queues, dispatch, bounded retry, fault
-// counting, auto-fail, hot-spare promotion, the scrub timer, observer
-// wiring — lives in the shared DriveSet engine.
+// This is the parity ArrayBackend and the capacity-efficient end of the
+// paper's frontier: RAID-5 is the k+1 case (an EcLayout under the kRaid5
+// scheme), k+2 is RAID-6, larger m buys tolerance of m concurrent failures at
+// k/(k+m) capacity efficiency. It is a pure policy layer: the per-drive
+// machinery — scheduler queues, dispatch, bounded retry, fault counting,
+// auto-fail, hot-spare promotion, the scrub timer, observer wiring — lives in
+// the shared DriveSet engine.
 //
 // Write planning: for a fragment targeting data shard D with p <= m live
 // parity columns, read-modify-write costs (1 + p) reads + (1 + p) writes
 // (old data + old parities in, deltas out) and needs D readable;
 // reconstruct-write costs (k - 1) reads when every other data column is
 // readable, or k reads through an arbitrary decode set otherwise, plus the
-// same writes. The controller prices both and takes the cheaper plan, tied
-// toward RMW. With fewer than k readable columns and no RMW path the
-// fragment completes with IoStatus::kUnrecoverable — never a crash.
+// same writes. Under the kRotated scheme the controller prices both and takes
+// the cheaper plan, tied toward RMW. Under kRaid5 it keeps RAID-5's rule:
+// with D readable, reconstruct-write only a full-unit fragment whose sibling
+// data units are all readable, read-modify-write anything else. With fewer
+// than k readable columns and no RMW path the fragment completes with
+// IoStatus::kUnrecoverable — never a crash.
 //
 // Rebuild: slots queue. One slot rebuilds at a time (row by row through a
 // k-column decode set); further failed slots whose spares promote while a
@@ -72,7 +75,10 @@ struct EcControllerOptions {
   // failed and promotes a hot spare (0 = never auto-fail on errors; an
   // explicit kDiskFailed status always auto-fails).
   uint32_t disk_error_fail_threshold = 0;
-  // Period of the background scrubber (0 = off); see Raid5ControllerOptions.
+  // Period of the background scrubber (0 = off). Each tick that finds the
+  // array otherwise idle reads every usable unit of the next stripe row; a
+  // media error triggers a repair-rewrite of the unit (the data is logically
+  // reconstructible from the row peers read in the same pass).
   SimDuration scrub_interval_us;
   // Whether scrub ticks defer to foreground activity or fire every period.
   ScrubGating scrub_gating = ScrubGating::kIdleGated;
@@ -149,7 +155,8 @@ class EcController : public ArrayBackend, private DriveSetClient {
   const EcCodec& codec() const { return *codec_; }
   bool Idle() const override;
 
-  // Publishes "fault.*" and "ec.*" counters.
+  // Publishes "fault.*" and backend counters: "raid5.*" under the kRaid5
+  // scheme, "ec.*" otherwise.
   void ExportStats(StatsRegistry* registry) const override;
 
   void StopScrub() override { drives_->StopScrub(); }
@@ -170,8 +177,11 @@ class EcController : public ArrayBackend, private DriveSetClient {
     // surfaced to the submitter.
     IoStatus status = IoStatus::kOk;
     uint32_t recovery_attempts = 0;
-    // Final-leg decomposition, as in Raid5Controller: the completing sub-op's
-    // disk phases; everything earlier lands in the recovery residual.
+    // Decomposition of the sub-op whose completion is last_completion (the
+    // one that completes the request). Parity sub-ops have no single queue
+    // timestamp for the logical request, so entry_arrival_us is the disk
+    // start: queue_us reads 0 and everything before the final leg (RMW read
+    // phases, decode reads, queueing) lands in the recovery residual.
     bool has_leg = false;
     FinalLeg leg;
   };
@@ -208,9 +218,8 @@ class EcController : public ArrayBackend, private DriveSetClient {
                        BlockAddr chosen_lba,
                        const DiskOpResult& result) override;
   void OnSlotFailed(SlotId disk) override;
-  // Promotion is always allowed: unlike RAID-5's single rebuild cursor, a
-  // promotion during a rebuild queues behind it instead of clobbering it.
-  bool SparePromotionAllowed(SlotId disk) override;
+  // Promotion keeps the engine default (always allowed): a promotion during
+  // a rebuild queues behind it instead of clobbering the rebuild cursor.
   uint64_t UsedSpanSectors(SlotId disk) const override;
   void OnSparePromoted(SlotId disk) override;
   bool ScrubEligible() const override;

@@ -5,15 +5,20 @@
 namespace mimdraid {
 
 EcLayout::EcLayout(uint32_t num_disks, uint32_t data_shards,
-                   uint32_t stripe_unit_sectors, uint64_t per_disk_sectors)
+                   uint32_t stripe_unit_sectors, uint64_t per_disk_sectors,
+                   Scheme scheme)
     : num_disks_(num_disks),
       k_(data_shards),
+      scheme_(scheme),
       unit_(stripe_unit_sectors),
       per_disk_sectors_(per_disk_sectors) {
   MIMDRAID_CHECK_GE(num_disks, 2u);
   MIMDRAID_CHECK_GE(data_shards, 1u);
   MIMDRAID_CHECK_LT(data_shards, num_disks);
   MIMDRAID_CHECK_GT(stripe_unit_sectors, 0u);
+  if (scheme == Scheme::kRaid5) {
+    MIMDRAID_CHECK_EQ(num_disks - data_shards, 1u);
+  }
   rows_ = static_cast<uint32_t>(per_disk_sectors / unit_);
   MIMDRAID_CHECK_GT(rows_, 0u);
   data_capacity_ = static_cast<uint64_t>(rows_) * k_ * unit_;
@@ -43,18 +48,6 @@ std::vector<EcFragment> EcLayout::Map(uint64_t lba, uint32_t sectors) const {
     remaining -= frag.sectors;
   }
   return out;
-}
-
-std::vector<uint32_t> EcLayout::RowPeers(uint32_t row,
-                                         uint32_t excluding_disk) const {
-  (void)row;  // every disk participates in every row (data or parity)
-  std::vector<uint32_t> peers;
-  for (uint32_t d = 0; d < num_disks_; ++d) {
-    if (d != excluding_disk) {
-      peers.push_back(d);
-    }
-  }
-  return peers;
 }
 
 }  // namespace mimdraid

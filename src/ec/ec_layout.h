@@ -1,11 +1,12 @@
 // Rotated (k+m) erasure-coded layout.
 //
-// Generalizes the left-symmetric RAID-5 geometry to m parity shards: each
-// stripe row holds k data units and m parity units, and the whole
+// Each stripe row holds k data units and m parity units, and the whole
 // (data..parity) position pattern rotates by one disk per row so parity
-// traffic spreads evenly across the array. k+1 reproduces the RAID-5 shape;
-// k+2 is RAID-6; larger m buys deeper fault tolerance at k/(k+m) capacity
-// efficiency — the frontier points bench_abl_capacity plots.
+// traffic spreads evenly across the array. k+2 is RAID-6; larger m buys
+// deeper fault tolerance at k/(k+m) capacity efficiency — the frontier points
+// bench_abl_capacity plots. RAID-5 is the k+1 case under the kRaid5 scheme:
+// the left-symmetric rotation (row r's parity on disk N-1-r, its data
+// starting just after) and RAID-5's write rule (see EcController).
 #ifndef MIMDRAID_SRC_EC_EC_LAYOUT_H_
 #define MIMDRAID_SRC_EC_EC_LAYOUT_H_
 
@@ -28,11 +29,20 @@ struct EcFragment {
 
 class EcLayout {
  public:
+  // How positions rotate across rows, and which write rule the controller
+  // applies. kRotated: position p of row r sits on disk (p + r) mod N, and
+  // writes take the cheaper parity-update plan. kRaid5 (m = 1 only):
+  // left-symmetric, disk (p - r) mod N, and RAID-5's write rule.
+  enum class Scheme { kRotated, kRaid5 };
+
   // `num_disks` = k + m drives; `data_shards` = k in [1, num_disks);
   // `stripe_unit_sectors` data sectors per unit; `per_disk_sectors` usable
   // sectors on each drive.
   EcLayout(uint32_t num_disks, uint32_t data_shards,
-           uint32_t stripe_unit_sectors, uint64_t per_disk_sectors);
+           uint32_t stripe_unit_sectors, uint64_t per_disk_sectors,
+           Scheme scheme = Scheme::kRotated);
+
+  Scheme scheme() const { return scheme_; }
 
   uint32_t num_disks() const { return num_disks_; }
   uint32_t data_shards() const { return k_; }
@@ -43,9 +53,12 @@ class EcLayout {
 
   // Disk holding stripe position `position` of `row`. Positions 0..k-1 are
   // the data shards, k..k+m-1 the parity shards; the whole pattern rotates
-  // one disk per row.
+  // one disk per row (backward under kRaid5).
   uint32_t DiskOfPosition(uint32_t row, uint32_t position) const {
     MIMDRAID_CHECK_LT(position, num_disks_);
+    if (scheme_ == Scheme::kRaid5) {
+      return (position + num_disks_ - row % num_disks_) % num_disks_;
+    }
     return (position + row) % num_disks_;
   }
   uint32_t DataDiskOf(uint32_t row, uint32_t shard) const {
@@ -59,19 +72,19 @@ class EcLayout {
   // Inverse of DiskOfPosition: the stripe position `disk` plays in `row`.
   uint32_t PositionOfDisk(uint32_t row, uint32_t disk) const {
     MIMDRAID_CHECK_LT(disk, num_disks_);
+    if (scheme_ == Scheme::kRaid5) {
+      return (disk + row % num_disks_) % num_disks_;
+    }
     return (disk + num_disks_ - row % num_disks_) % num_disks_;
   }
 
   // Splits a logical request into per-unit fragments.
   std::vector<EcFragment> Map(uint64_t lba, uint32_t sectors) const;
 
-  // Disks holding the other units of `row` (the superset a reconstruction
-  // chooses its k decode columns from).
-  std::vector<uint32_t> RowPeers(uint32_t row, uint32_t excluding_disk) const;
-
  private:
   uint32_t num_disks_;
   uint32_t k_;
+  Scheme scheme_;
   uint32_t unit_;
   uint64_t per_disk_sectors_;
   uint32_t rows_;

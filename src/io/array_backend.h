@@ -21,7 +21,7 @@ namespace mimdraid {
 // Which redundancy policy an assembled array runs over the DriveSet engine.
 enum class ArrayBackendKind {
   kMirror,   // ArrayController: Ds x Dr x Dm replica layout (SR/ML/ABL)
-  kRaid5,    // Raid5Controller: left-symmetric rotating parity
+  kRaid5,    // EcController at m = 1: left-symmetric rotating parity
   kErasure,  // EcController: general (k+m) Reed-Solomon/Cauchy coding
 };
 

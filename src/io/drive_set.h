@@ -1,6 +1,6 @@
 // The shared drive-pool engine underneath every array backend.
 //
-// Historically the mirror/SR-Array controller and the RAID-5 controller each
+// Historically the mirror/SR-Array controller and the parity controller each
 // owned their own copy of the per-drive machinery: scheduler queues, the
 // dispatch loop, bounded retry with backoff, consecutive-error auto-fail,
 // fail-stop response, hot-spare promotion, the idle-gated scrub timer, and
@@ -18,7 +18,7 @@
 //    policy's (the mirror path, whose retry unit is the *fragment*).
 //  * Commands: EnqueueCommand registers a per-entry done callback and the
 //    engine runs bounded retry with backoff for transient statuses itself,
-//    delivering only terminal results (the RAID-5 path, whose retry unit is
+//    delivering only terminal results (the parity path, whose retry unit is
 //    the *disk command*).
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_

@@ -70,20 +70,12 @@ RebuildCalibration CalibrateRebuild(ArrayBackendKind kind, uint64_t seed) {
   RebuildCalibration calib;
   calib.measured_duration_us =
       static_cast<double>((result.completion_us - start).us());
-  switch (kind) {
-    case ArrayBackendKind::kMirror:
-      calib.measured_sectors = array.layout().per_disk_sectors();
-      break;
-    case ArrayBackendKind::kRaid5:
-      calib.measured_sectors =
-          static_cast<uint64_t>(array.raid5_layout().num_rows()) *
-          array.raid5_layout().stripe_unit_sectors();
-      break;
-    case ArrayBackendKind::kErasure:
-      calib.measured_sectors =
-          static_cast<uint64_t>(array.ec_layout().num_rows()) *
-          array.ec_layout().stripe_unit_sectors();
-      break;
+  if (kind == ArrayBackendKind::kMirror) {
+    calib.measured_sectors = array.layout().per_disk_sectors();
+  } else {
+    calib.measured_sectors =
+        static_cast<uint64_t>(array.ec_layout().num_rows()) *
+        array.ec_layout().stripe_unit_sectors();
   }
   return calib;
 }

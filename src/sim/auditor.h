@@ -73,7 +73,7 @@ struct AuditFragment {
 enum class FaultResolution : uint8_t {
   kRetried,        // re-queued against the same target after backoff
   kFailedOver,     // re-aimed at another replica / mirror disk
-  kReconstructed,  // rebuilt from RAID-5 peers
+  kReconstructed,  // rebuilt from parity row peers
   kRepaired,       // bad replica rewritten from a surviving copy
   kSurfaced,       // completed to the submitter as kUnrecoverable
   kAbandoned,      // dropped — legal only when the target disk is failed

@@ -1,6 +1,6 @@
 // Fault / recovery counters exported by the array controllers.
 //
-// One struct shared by ArrayController and Raid5Controller so chaos tests
+// One struct shared by ArrayController and EcController so chaos tests
 // and CI artifacts can reconcile what the FaultInjector injected against what
 // the recovery machinery did about it: every fault must end up retried,
 // failed-over, reconstructed, repaired, or surfaced as kUnrecoverable —
@@ -23,7 +23,7 @@ struct FaultRecoveryStats {
   // Recovery actions.
   uint64_t retries_issued = 0;        // same target, after backoff
   uint64_t failovers = 0;             // alternate replica / mirror disk
-  uint64_t reconstructions = 0;       // RAID-5 peer reconstruction
+  uint64_t reconstructions = 0;       // parity decode reconstruction
   uint64_t repairs_queued = 0;        // bad replica rewritten from a good one
   uint64_t unrecoverable_completions = 0;  // redundancy exhausted, surfaced
 

@@ -149,10 +149,6 @@ void PlantLatentError(MimdRaid* array, uint64_t lba) {
     for (const ArrayFragment& f : array->layout().Map(lba, 1)) {
       injector->InjectLatentError(f.replicas[0].disk, f.replicas[0].lba);
     }
-  } else if (array->backend_kind() == ArrayBackendKind::kRaid5) {
-    for (const Raid5Fragment& f : array->raid5_layout().Map(lba, 1)) {
-      injector->InjectLatentError(f.data_disk, f.disk_lba);
-    }
   } else {
     for (const EcFragment& f : array->ec_layout().Map(lba, 1)) {
       injector->InjectLatentError(f.data_disk, f.disk_lba);

@@ -1,6 +1,6 @@
 // Seeded chaos soak: a randomized fault mix (latent sector errors, transient
-// errors, timeouts, explicit fail-stops) against the mirrored array, the
-// RAID-5 controller, and the general (k+m) erasure controller, with the
+// errors, timeouts, explicit fail-stops) against the mirrored array, a
+// RAID-5 group, and a general (k+m) erasure group, with the
 // runtime invariant auditor attached. Every submitted operation must
 // complete exactly once with a terminal status (kOk or kUnrecoverable —
 // never an intermediate fault status), the array must drain to a quiescent
@@ -251,8 +251,8 @@ void RunRaid5Chaos(uint64_t seed, bool write_summary, ChaosDigest* out) {
   options.fault.timeout_prob = 0.002;
   MimdRaid array(options);
   Simulator& sim = array.sim();
-  Raid5Controller& controller = array.raid5();
-  const Raid5Layout& layout = array.raid5_layout();
+  EcController& controller = array.ec();
+  const EcLayout& layout = array.ec_layout();
   FaultInjector& injector = *array.fault_injector();
 
   Rng rng(seed * 31 + 7);
@@ -263,7 +263,7 @@ void RunRaid5Chaos(uint64_t seed, bool write_summary, ChaosDigest* out) {
   // repair-rewrite path has deterministic work.
   for (int i = 0; i < 4; ++i) {
     const uint64_t lba = rng.UniformU64(layout.data_capacity_sectors() - 4);
-    for (const Raid5Fragment& f : layout.Map(lba, 1)) {
+    for (const EcFragment& f : layout.Map(lba, 1)) {
       injector.InjectLatentError(f.data_disk, f.disk_lba);
     }
   }

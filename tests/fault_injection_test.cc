@@ -12,8 +12,9 @@
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
-#include "src/raid5/raid5_controller.h"
-#include "src/raid5/raid5_layout.h"
+#include "src/ec/ec_controller.h"
+#include "src/ec/ec_layout.h"
+#include "src/ec/gf256.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -498,13 +499,15 @@ TEST(ArrayRecovery, ScrubberYieldsToForegroundTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// RAID-5 recovery (Raid5Controller).
+// RAID-5 recovery (EcController over a k+1 left-symmetric EcLayout).
 // ---------------------------------------------------------------------------
 
 struct Raid5Rig {
   explicit Raid5Rig(uint32_t disks_n = 4,
                     const FaultInjectorOptions& fopts = FaultInjectorOptions{})
-      : injector(fopts) {
+      : injector(fopts),
+        layout(disks_n, disks_n - 1, 16, 2000, EcLayout::Scheme::kRaid5),
+        codec(disks_n - 1, 1) {
     for (uint32_t i = 0; i < disks_n; ++i) {
       sim_disks.push_back(std::make_unique<SimDisk>(
           &sim, MakeTestGeometry(), MakeTestSeekProfile(),
@@ -514,11 +517,10 @@ struct Raid5Rig {
       dptr.push_back(sim_disks.back().get());
       pptr.push_back(preds.back().get());
     }
-    layout = std::make_unique<Raid5Layout>(disks_n, 16, 2000);
-    Raid5ControllerOptions copts;
+    EcControllerOptions copts;
     copts.fault_injector = &injector;
-    controller = std::make_unique<Raid5Controller>(&sim, dptr, pptr,
-                                                   layout.get(), copts);
+    controller = std::make_unique<EcController>(&sim, dptr, pptr, &layout,
+                                                &codec, copts);
   }
 
   IoResult Do(DiskOp op, uint64_t lba, uint32_t sectors) {
@@ -541,17 +543,18 @@ struct Raid5Rig {
 
   Simulator sim;
   FaultInjector injector;
+  EcLayout layout;
+  EcCodec codec;
   std::vector<std::unique_ptr<SimDisk>> sim_disks;
   std::vector<std::unique_ptr<AccessPredictor>> preds;
   std::vector<SimDisk*> dptr;
   std::vector<AccessPredictor*> pptr;
-  std::unique_ptr<Raid5Layout> layout;
-  std::unique_ptr<Raid5Controller> controller;
+  std::unique_ptr<EcController> controller;
 };
 
 TEST(Raid5Recovery, TransientReadErrorRetriesInPlace) {
   Raid5Rig rig;
-  const auto frag = rig.layout->Map(0, 8)[0];
+  const auto frag = rig.layout.Map(0, 8)[0];
   rig.injector.InjectTransientErrors(frag.data_disk, 1);
   const IoResult r = rig.Do(DiskOp::kRead, 0, 8);
   EXPECT_EQ(r.status, IoStatus::kOk);
@@ -564,7 +567,7 @@ TEST(Raid5Recovery, TransientReadErrorRetriesInPlace) {
 
 TEST(Raid5Recovery, PersistentMediaErrorReconstructsAndRepairs) {
   Raid5Rig rig;
-  const auto frag = rig.layout->Map(0, 8)[0];
+  const auto frag = rig.layout.Map(0, 8)[0];
   for (uint32_t s = 0; s < frag.sectors; ++s) {
     rig.injector.InjectLatentError(frag.data_disk, frag.disk_lba + s);
   }
@@ -590,13 +593,14 @@ TEST(Raid5Recovery, DoubleFailureReadsSurfaceUnrecoverable) {
   // orders must now be survived, with per-fragment graceful degradation.
   for (const bool reverse : {false, true}) {
     Raid5Rig rig;
-    const auto frag = rig.layout->Map(0, 8)[0];
-    const uint32_t first = reverse ? frag.parity_disk : frag.data_disk;
-    const uint32_t second = reverse ? frag.data_disk : frag.parity_disk;
+    const auto frag = rig.layout.Map(0, 8)[0];
+    const uint32_t parity_disk = rig.layout.ParityDiskOf(frag.row, 0);
+    const uint32_t first = reverse ? parity_disk : frag.data_disk;
+    const uint32_t second = reverse ? frag.data_disk : parity_disk;
     rig.controller->FailDisk(SlotId(first));
     rig.controller->FailDisk(SlotId(second));
     EXPECT_TRUE(rig.controller->IsFailed(SlotId(frag.data_disk)));
-    EXPECT_TRUE(rig.controller->IsFailed(SlotId(frag.parity_disk)));
+    EXPECT_TRUE(rig.controller->IsFailed(SlotId(parity_disk)));
 
     // This fragment needs its dead data disk plus a full reconstruction set
     // that includes the other dead disk: unrecoverable, not a crash.
@@ -606,9 +610,9 @@ TEST(Raid5Recovery, DoubleFailureReadsSurfaceUnrecoverable) {
     // A fragment whose data disk survived both failures still reads fine.
     uint64_t healthy_lba = 0;
     bool found = false;
-    for (uint64_t lba = 0; lba < rig.layout->data_capacity_sectors() && !found;
+    for (uint64_t lba = 0; lba < rig.layout.data_capacity_sectors() && !found;
          lba += 16) {
-      const auto f = rig.layout->Map(lba, 8)[0];
+      const auto f = rig.layout.Map(lba, 8)[0];
       if (!rig.controller->IsFailed(SlotId(f.data_disk))) {
         healthy_lba = lba;
         found = true;
@@ -632,7 +636,7 @@ TEST(Raid5Recovery, DoubleFailureMixedTrafficNeverCrashes) {
     for (int i = 0; i < kOps; ++i) {
       const uint32_t sectors = 1 + static_cast<uint32_t>(rng.UniformU64(24));
       const uint64_t lba =
-          rng.UniformU64(rig.layout->data_capacity_sectors() - sectors);
+          rng.UniformU64(rig.layout.data_capacity_sectors() - sectors);
       rig.controller->Submit(
           rng.Bernoulli(0.6) ? DiskOp::kRead : DiskOp::kWrite, lba, sectors,
           [&](const IoResult& r) {
@@ -651,7 +655,7 @@ TEST(Raid5Recovery, DoubleFailureMixedTrafficNeverCrashes) {
 
 TEST(Raid5Recovery, FailStopVerdictAutoFailsTheSlot) {
   Raid5Rig rig;
-  const auto frag = rig.layout->Map(0, 8)[0];
+  const auto frag = rig.layout.Map(0, 8)[0];
   rig.injector.FailStop(frag.data_disk);
   const IoResult r = rig.Do(DiskOp::kRead, 0, 8);
   EXPECT_EQ(r.status, IoStatus::kOk);  // degraded reconstruction
