@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
-// LBA mapping, access planning, replica placement, scheduler picks (SATF over
-// resolved positions, RSATF over raw LBAs), the controller's read-after-write
-// barrier, and the GF(2^8) erasure codec.
+// LBA mapping, access planning, replica placement, scheduler picks (SATF and
+// RSATF over positions resolved at enqueue), a DriveSet command round trip,
+// the controller's read-after-write barrier, and the GF(2^8) erasure codec.
 // These bound the cost of simulated I/O, of position-sensitive scheduling (a
 // SATF-class dispatch is O(queue x replicas) Plan() calls), of a write
 // completion's wake of parked reads, and of byte-level coding per stripe.
@@ -18,6 +18,7 @@
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
 #include "src/ec/gf256.h"
+#include "src/io/drive_set.h"
 #include "src/sched/positional_schedulers.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -122,6 +123,7 @@ void BM_RsatfPick(benchmark::State& state) {
     for (const uint64_t cand : placement.AllReplicas(s)) {
       req.candidates.push_back(BlockAddr(cand));
     }
+    ResolveCandidates(disk.layout(), req);
     queue.push_back(std::move(req));
   }
   RsatfScheduler sched;
@@ -177,6 +179,61 @@ void BM_SatfPick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SatfPick)->Arg(4)->Arg(16)->Arg(128);
+
+// Policy hooks for a DriveSet that only carries commands.
+class CommandOnlyClient : public DriveSetClient {
+ public:
+  void OnEntryComplete(SlotId /*disk*/, const QueuedRequest& /*entry*/,
+                       BlockAddr /*chosen_lba*/,
+                       const DiskOpResult& /*result*/) override {}
+  void OnSlotFailed(SlotId /*disk*/,
+                    std::vector<QueuedRequest> /*drained*/) override {}
+  void OnSparePromoted(SlotId /*disk*/) override {}
+};
+
+// One command round trip through the engine — EnqueueCommand, FCFS dispatch,
+// the simulated access, completion routed through the command slab — with N
+// commands outstanding on one drive; each completion issues the next. FCFS
+// keeps the pick O(1), so this times the engine layer itself (the per-command
+// cost the parity controller pays on every sub-op).
+void BM_DriveSetCommand(benchmark::State& state) {
+  const int outstanding = static_cast<int>(state.range(0));
+  Simulator sim;
+  SimDisk disk(&sim, F().geometry, F().profile, DiskNoiseModel::None(), 1,
+               0.0);
+  OraclePredictor predictor(&disk, 0.0);
+  CommandOnlyClient client;
+  DriveSetOptions options;
+  options.scheduler = SchedulerKind::kFcfs;
+  DriveSet drives(&sim, {&disk}, {&predictor}, &client, options);
+  Rng rng(13);
+  uint64_t completed = 0;
+  bool issuing = true;
+  std::function<void()> issue = [&] {
+    const uint64_t lba = rng.UniformU64(disk.num_sectors() - 16);
+    (void)drives.EnqueueCommand(  // mdl-ok(MDL002): ids unused by the bench
+        SlotId(0), DriveSet::Queue::kForeground, DiskOp::kRead,
+        BlockAddr(lba), 16, [&](const DiskOpResult& /*r*/, uint64_t /*id*/) {
+          ++completed;
+          if (issuing) {
+            issue();
+          }
+        });
+  };
+  for (int i = 0; i < outstanding; ++i) {
+    issue();
+  }
+  for (auto _ : state) {
+    const uint64_t target = completed + 1;
+    while (completed < target) {
+      sim.Step();
+    }
+    benchmark::DoNotOptimize(completed);
+  }
+  issuing = false;
+  sim.Run();
+}
+BENCHMARK(BM_DriveSetCommand)->Arg(1)->Arg(16);
 
 // Closed-loop fleet: N independent disks on one simulator, each immediately
 // re-issuing on completion, so the event engine holds N pending completions

@@ -389,9 +389,8 @@ void ArrayController::AuditMappedFragments(
 
 void ArrayController::OnEntryDispatched(SlotId slot,
                                         const QueuedRequest& entry) {
-  const uint32_t disk = slot.value();
-  if (!entry.delayed && !entry.maintenance) {
-    CancelSiblings(entry.tag, disk, entry.id);
+  if (!entry.delayed) {
+    CancelSiblings(entry.tag, slot.value(), entry.id);
   }
 }
 
@@ -433,34 +432,6 @@ void ArrayController::OnEntryComplete(SlotId slot,
   // auto-failing the slot). Only the mirror policy's bookkeeping runs here.
   if (!result.ok()) {
     HandleEntryFailure(disk, entry, chosen_lba, result);
-    return;
-  }
-  if (entry.maintenance) {
-    if (auto sit = scrub_reads_.find(entry.id); sit != scrub_reads_.end()) {
-      fstats().scrub_sectors_read += sit->second.sectors;
-      scrub_reads_.erase(sit);
-      ++fstats().scrub_reads;
-      return;
-    }
-    if (auto rit = rebuild_read_done_.find(entry.id);
-        rit != rebuild_read_done_.end()) {
-      auto fn = std::move(rit->second);
-      rebuild_read_done_.erase(rit);
-      fn(result);
-      return;
-    }
-    if (auto wit = rebuild_write_done_.find(entry.id);
-        wit != rebuild_write_done_.end()) {
-      auto fn = std::move(wit->second);
-      rebuild_write_done_.erase(wit);
-      fn(result);
-      return;
-    }
-    ++stats_.maintenance_reads;
-    if (auto* hp =
-            dynamic_cast<HeadPositionPredictor*>(drives_->predictor(SlotId(disk)))) {
-      hp->AddReferenceObservation(result.completion_us);
-    }
     return;
   }
   if (entry.delayed) {
@@ -590,14 +561,6 @@ void ArrayController::CompleteFragmentUnrecoverable(uint64_t frag_key,
 
 // --- Fault recovery -------------------------------------------------------
 
-void ArrayController::ResolveFault(uint64_t entry_id,
-                                   FaultResolution resolution,
-                                   bool target_disk_failed) {
-  if (auditor_ != nullptr) {
-    auditor_->OnFaultResolved(entry_id, resolution, target_disk_failed);
-  }
-}
-
 void ArrayController::NoteOpRecoveryAttempt(uint64_t op_id) {
   auto it = ops_.find(op_id);
   if (it != ops_.end()) {
@@ -605,18 +568,11 @@ void ArrayController::NoteOpRecoveryAttempt(uint64_t op_id) {
   }
 }
 
-void ArrayController::ScheduleRecovery(uint32_t attempt,
-                                       std::function<void()> fn) {
-  drives_->ScheduleRecovery(attempt, std::move(fn));
-}
-
 void ArrayController::HandleEntryFailure(uint32_t disk,
                                          const QueuedRequest& entry,
                                          uint64_t chosen_lba,
                                          const DiskOpResult& result) {
-  if (entry.maintenance) {
-    HandleMaintenanceFailure(disk, entry, chosen_lba, result);
-  } else if (entry.delayed) {
+  if (entry.delayed) {
     HandleDelayedFailure(disk, entry, chosen_lba, result);
   } else if (entry.op == DiskOp::kRead) {
     HandleReadFailure(disk, entry, chosen_lba, result);
@@ -640,9 +596,9 @@ void ArrayController::HandleReadFailure(uint32_t disk,
       frag.attempts + 1 < options_.retry.max_attempts) {
     ++frag.attempts;
     ++fstats().retries_issued;
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
+    drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
     const uint64_t frag_key = entry.tag;
-    ScheduleRecovery(frag.attempts, [this, frag_key]() {
+    drives_->ScheduleRecovery(frag.attempts, [this, frag_key]() {
       auto fit = frags_.find(frag_key);
       if (fit == frags_.end()) {
         return;
@@ -670,10 +626,11 @@ void ArrayController::HandleReadFailure(uint32_t disk,
   ++fstats().failovers;
   const bool target_failed = drives_->failed(SlotId(disk));
   if (SubmitReadFragment(frag, entry.tag)) {
-    ResolveFault(entry.id, FaultResolution::kFailedOver, target_failed);
+    drives_->ResolveFault(entry.id, FaultResolution::kFailedOver,
+                          target_failed);
   } else {
     // No live replica remained; the fragment completed as kUnrecoverable.
-    ResolveFault(entry.id, FaultResolution::kSurfaced, target_failed);
+    drives_->ResolveFault(entry.id, FaultResolution::kSurfaced, target_failed);
   }
 }
 
@@ -694,9 +651,9 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
     if (drives_->failed(SlotId(disk))) {
       ++fstats().failovers;
       if (SubmitWriteFragment(frag, frag_key)) {
-        ResolveFault(entry.id, FaultResolution::kFailedOver, true);
+        drives_->ResolveFault(entry.id, FaultResolution::kFailedOver, true);
       } else {
-        ResolveFault(entry.id, FaultResolution::kSurfaced, true);
+        drives_->ResolveFault(entry.id, FaultResolution::kSurfaced, true);
       }
       return;
     }
@@ -705,8 +662,8 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
     // disk itself is declared dead.
     ++frag.attempts;
     ++fstats().retries_issued;
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
-    ScheduleRecovery(frag.attempts, [this, frag_key]() {
+    drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
+    drives_->ScheduleRecovery(frag.attempts, [this, frag_key]() {
       auto fit = frags_.find(frag_key);
       if (fit == frags_.end()) {
         return;
@@ -720,7 +677,7 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   if (drives_->failed(SlotId(disk))) {
     // This copy is lost; surviving copies carry the fragment. If none
     // succeeded by the time all entries account, the write is unrecoverable.
-    ResolveFault(entry.id, FaultResolution::kAbandoned, true);
+    drives_->ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     LoseWriteReplica(frag_key);
     return;
   }
@@ -732,17 +689,18 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
   retry.tag = frag_key;
   retry.attempts = entry.attempts + 1;
   ++fstats().retries_issued;
-  ResolveFault(entry.id, FaultResolution::kRetried, false);
-  ScheduleRecovery(retry.attempts,
-                   [this, disk, retry = std::move(retry)]() mutable {
-                     if (drives_->failed(SlotId(disk))) {
-                       LoseWriteReplica(retry.tag);
-                       return;
-                     }
-                     retry.arrival_us = sim_->Now();
-                     drives_->EnqueueFg(SlotId(disk), std::move(retry));
-                     drives_->MaybeDispatch(SlotId(disk));
-                   });
+  drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
+  const uint32_t attempt = retry.attempts;
+  drives_->ScheduleRecovery(
+      attempt, [this, disk, retry = std::move(retry)]() mutable {
+        if (drives_->failed(SlotId(disk))) {
+          LoseWriteReplica(retry.tag);
+          return;
+        }
+        retry.arrival_us = sim_->Now();
+        drives_->EnqueueFg(SlotId(disk), std::move(retry));
+        drives_->MaybeDispatch(SlotId(disk));
+      });
 }
 
 void ArrayController::LoseWriteReplica(uint64_t frag_key) {
@@ -777,13 +735,13 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
       }
     }
     ++fstats().propagations_abandoned;
-    ResolveFault(entry.id, FaultResolution::kAbandoned, true);
+    drives_->ResolveFault(entry.id, FaultResolution::kAbandoned, true);
     return;
   }
   if (!is_owner) {
     // A newer write superseded this propagation while it was in flight; the
     // live owner entry will rewrite the location with fresher data.
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
+    drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
     return;
   }
   // Move ownership of the pending propagation to a fresh retry entry. The
@@ -794,10 +752,11 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
     auditor_->OnNvramErase(disk, chosen_lba);
   }
   ++fstats().retries_issued;
-  ResolveFault(entry.id, FaultResolution::kRetried, false);
+  drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
   const uint32_t attempts = entry.attempts + 1;
   const uint32_t sectors = entry.sectors;
-  ScheduleRecovery(attempts, [this, disk, chosen_lba, sectors, attempts]() {
+  drives_->ScheduleRecovery(attempts, [this, disk, chosen_lba, sectors,
+                                       attempts]() {
     if (drives_->failed(SlotId(disk))) {
       for (uint32_t s = 0; s < sectors; ++s) {
         stale_sectors_.erase(ReplicaKey(disk, chosen_lba + s));
@@ -809,132 +768,21 @@ void ArrayController::HandleDelayedFailure(uint32_t disk,
   });
 }
 
-void ArrayController::HandleMaintenanceFailure(uint32_t disk,
-                                               const QueuedRequest& entry,
-                                               uint64_t chosen_lba,
-                                               const DiskOpResult& result) {
-  (void)chosen_lba;
-  if (auto rit = rebuild_read_done_.find(entry.id);
-      rit != rebuild_read_done_.end()) {
-    auto fn = std::move(rit->second);
-    rebuild_read_done_.erase(rit);
-    fn(result);  // restarts the fragment copy with a different source
-    ResolveFault(entry.id, FaultResolution::kFailedOver, drives_->failed(SlotId(disk)));
-    return;
-  }
-  if (auto wit = rebuild_write_done_.find(entry.id);
-      wit != rebuild_write_done_.end()) {
-    auto fn = std::move(wit->second);
-    rebuild_write_done_.erase(wit);
-    fn(result);  // retries the copy, or records it lost if the target died
-    ResolveFault(entry.id,
-                 drives_->failed(SlotId(disk)) ? FaultResolution::kAbandoned
-                                       : FaultResolution::kRetried,
-                 drives_->failed(SlotId(disk)));
-    return;
-  }
-  if (auto sit = scrub_reads_.find(entry.id); sit != scrub_reads_.end()) {
-    const ScrubTarget target = sit->second;
-    scrub_reads_.erase(sit);
-    ++fstats().scrub_reads;
-    // The read covered its sectors even when it surfaced a media error: the
-    // sweep's job is discovery, and discovery is what happened.
-    fstats().scrub_sectors_read += target.sectors;
-    if (result.status == IoStatus::kMediaError &&
-        !drives_->failed(SlotId(target.disk))) {
-      // Latent sector error caught by the sweep: rewrite the replica with
-      // the logically equivalent data the scrubber reads from its siblings
-      // in the same pass; the drive remaps the sector on write.
-      ++fstats().scrub_repairs;
-      ++fstats().repairs_queued;
-      AddDelayedWrite(target.disk, target.lba, target.sectors);
-      ResolveFault(entry.id, FaultResolution::kRepaired, false);
-    } else if (drives_->failed(SlotId(target.disk))) {
-      ResolveFault(entry.id, FaultResolution::kAbandoned, true);
-    } else {
-      // Transient noise on a verification read: the next sweep revisits the
-      // chunk, so the observation is surfaced (counted) and dropped.
-      ResolveFault(entry.id, FaultResolution::kSurfaced, false);
-    }
-    return;
-  }
-  // Recalibration reference read: nothing to recover — the observation is
-  // simply missed and the next timer issues a fresh one.
-  ResolveFault(entry.id, FaultResolution::kSurfaced, drives_->failed(SlotId(disk)));
-}
-
-void ArrayController::OnSlotFailed(SlotId slot) {
+void ArrayController::OnSlotFailed(SlotId slot,
+                                   std::vector<QueuedRequest> drained) {
   const uint32_t disk = slot.value();
-  AbandonDelayedQueue(disk);
-  RerouteQueuedEntries(disk);
-}
-
-void ArrayController::AbandonDelayedQueue(uint32_t disk) {
-  std::vector<QueuedRequest> drained = std::move(drives_->delayed(SlotId(disk)));
-  drives_->delayed(SlotId(disk)).clear();
   for (QueuedRequest& e : drained) {
-    if (auditor_ != nullptr) {
-      auditor_->OnEntryCancelled(disk, e.id);
-    }
-    if (e.maintenance) {
-      // Rebuild copy traffic rides the delayed queues; hand the hooks a
-      // synthetic disk-failed result so the chains reroute or terminate.
-      DiskOpResult dead;
-      dead.status = IoStatus::kDiskFailed;
-      dead.start_us = sim_->Now();
-      dead.completion_us = sim_->Now();
-      if (auto rit = rebuild_read_done_.find(e.id);
-          rit != rebuild_read_done_.end()) {
-        auto fn = std::move(rit->second);
-        rebuild_read_done_.erase(rit);
-        fn(dead);
-      } else if (auto wit = rebuild_write_done_.find(e.id);
-                 wit != rebuild_write_done_.end()) {
-        auto fn = std::move(wit->second);
-        rebuild_write_done_.erase(wit);
-        fn(dead);
-      } else {
-        scrub_reads_.erase(e.id);
-      }
-      continue;
-    }
-    // Pending propagation to a dead disk: meaningless now.
-    if (nvram_.EraseIfOwner(disk, e.candidates.front().lba.value(), e.id)) {
-      if (auditor_ != nullptr) {
-        auditor_->OnNvramErase(disk, e.candidates.front().lba.value());
-      }
-    }
-    for (uint32_t s = 0; s < e.sectors; ++s) {
-      stale_sectors_.erase(ReplicaKey(disk, e.candidates.front().lba.value() + s));
-    }
-    ++fstats().propagations_abandoned;
-  }
-}
-
-void ArrayController::RerouteQueuedEntries(uint32_t disk) {
-  std::vector<QueuedRequest> moved = std::move(drives_->fg(SlotId(disk)));
-  drives_->fg(SlotId(disk)).clear();
-  if (collector_ != nullptr && !moved.empty()) {
-    collector_->OnQueueDepth(disk, sim_->Now(), 0);
-  }
-  for (QueuedRequest& e : moved) {
-    if (auditor_ != nullptr) {
-      auditor_->OnEntryCancelled(disk, e.id);
-    }
-    if (e.maintenance) {
-      // Recalibration reads are periodic; the next timer re-issues one.
-      scrub_reads_.erase(e.id);
-      continue;
-    }
     if (e.delayed) {
-      // Propagation forced into the FG queue by the table limit.
-      if (nvram_.EraseIfOwner(disk, e.candidates.front().lba.value(), e.id)) {
+      // Pending propagation to a dead disk, queued or forced into the FG
+      // queue by the table limit: meaningless now.
+      const uint64_t lba = e.candidates.front().lba.value();
+      if (nvram_.EraseIfOwner(disk, lba, e.id)) {
         if (auditor_ != nullptr) {
-          auditor_->OnNvramErase(disk, e.candidates.front().lba.value());
+          auditor_->OnNvramErase(disk, lba);
         }
       }
       for (uint32_t s = 0; s < e.sectors; ++s) {
-        stale_sectors_.erase(ReplicaKey(disk, e.candidates.front().lba.value() + s));
+        stale_sectors_.erase(ReplicaKey(disk, lba + s));
       }
       ++fstats().propagations_abandoned;
       continue;
@@ -1022,20 +870,47 @@ void ArrayController::ScrubStep() {
         continue;
       }
       sweep_sectors_issued_ += f.sectors;
-      QueuedRequest e;
-      e.id = drives_->AllocEntryId();
-      e.op = DiskOp::kRead;
-      e.sectors = f.sectors;
-      e.candidates = {BlockAddr(loc.lba)};
-      e.arrival_us = sim_->Now();
-      e.maintenance = true;
-      scrub_reads_[e.id] = ScrubTarget{loc.disk, loc.lba, f.sectors};
-      const uint32_t d = loc.disk;
-      drives_->EnqueueDelayed(SlotId(d), std::move(e));
-      drives_->MaybeDispatch(SlotId(d));
+      // mdl-ok(MDL002): the read is its own record
+      (void)drives_->EnqueueCommand(
+          SlotId(loc.disk), DriveSet::Queue::kDelayed, DiskOp::kRead,
+          BlockAddr(loc.lba), f.sectors,
+          [this, loc, sectors = f.sectors](const DiskOpResult& r,
+                                           uint64_t id) {
+            ScrubReadDone(loc, sectors, r, id);
+          });
     }
   }
   scrub_cursor_ += span;
+}
+
+void ArrayController::ScrubReadDone(ReplicaLocation loc, uint32_t sectors,
+                                    const DiskOpResult& result, uint64_t id) {
+  if (id == 0) {
+    return;  // drained from a failed slot before it ran: nothing was read
+  }
+  ++fstats().scrub_reads;
+  // The read covered its sectors even when it surfaced a media error: the
+  // sweep's job is discovery, and discovery is what happened.
+  fstats().scrub_sectors_read += sectors;
+  if (result.ok()) {
+    return;
+  }
+  const bool disk_failed = drives_->failed(SlotId(loc.disk));
+  if (result.status == IoStatus::kMediaError && !disk_failed) {
+    // Latent sector error caught by the sweep: rewrite the replica with the
+    // logically equivalent data the scrubber reads from its siblings in the
+    // same pass; the drive remaps the sector on write.
+    ++fstats().scrub_repairs;
+    ++fstats().repairs_queued;
+    AddDelayedWrite(loc.disk, loc.lba, sectors);
+    drives_->ResolveFault(id, FaultResolution::kRepaired, false);
+  } else if (disk_failed) {
+    drives_->ResolveFault(id, FaultResolution::kAbandoned, true);
+  } else {
+    // Transient noise on a verification read: the next sweep revisits the
+    // chunk, so the observation is surfaced (counted) and dropped.
+    drives_->ResolveFault(id, FaultResolution::kSurfaced, false);
+  }
 }
 
 void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
@@ -1240,8 +1115,9 @@ bool ArrayController::FailDisk(SlotId slot) {
     return false;
   }
   drives_->MarkFailed(SlotId(disk));
-  // Pending propagations to the failed disk are meaningless now.
-  AbandonDelayedQueue(disk);
+  // Pending propagations to the failed disk are meaningless now; rebuild and
+  // scrub reads queued there complete as failed.
+  OnSlotFailed(SlotId(disk), drives_->DrainFailedSlot(SlotId(disk)));
   return true;
 }
 
@@ -1249,7 +1125,16 @@ void ArrayController::RebuildDisk(uint32_t disk, DoneFn done) {
   MIMDRAID_CHECK(drives_->failed(SlotId(disk)));
   MIMDRAID_CHECK_GE(layout_->aspect().dm, 2);
   drives_->MarkReplaced(SlotId(disk));  // replacement drive in the slot
+  ++rebuild_streams_;
   RebuildNextFragment(disk, 0, std::move(done));
+}
+
+void ArrayController::FinishRebuildStream(IoStatus status, DoneFn done) {
+  MIMDRAID_CHECK_GT(rebuild_streams_, 0u);
+  --rebuild_streams_;
+  if (done) {
+    done(IoResult{status, sim_->Now(), 0});
+  }
 }
 
 void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
@@ -1259,9 +1144,7 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
   // traffic rides the delayed queues, yielding to foreground work.
   if (drives_->failed(SlotId(disk))) {
     // The replacement itself died mid-rebuild; abort the stream.
-    if (done) {
-      done(IoResult{IoStatus::kDiskFailed, sim_->Now(), 0});
-    }
+    FinishRebuildStream(IoStatus::kDiskFailed, std::move(done));
     return;
   }
   const uint64_t dataset = layout_->dataset_sectors();
@@ -1296,44 +1179,39 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
       const uint32_t source_disk = source->disk;
       const uint64_t source_lba = source->lba;
 
-      QueuedRequest read_entry;
-      read_entry.id = drives_->AllocEntryId();
-      read_entry.op = DiskOp::kRead;
-      read_entry.sectors = len;
-      read_entry.candidates = {BlockAddr(source_lba)};
-      read_entry.arrival_us = sim_->Now();
-      read_entry.maintenance = true;
-      rebuild_read_done_[read_entry.id] =
+      // mdl-ok(MDL002): the stream tracks itself
+      (void)drives_->EnqueueCommand(
+          SlotId(source_disk), DriveSet::Queue::kDelayed, DiskOp::kRead,
+          BlockAddr(source_lba), len,
           [this, disk, frag_start, resume, targets, len, source_disk,
-           source_lba, done](const DiskOpResult& r) mutable {
-            if (r.status != IoStatus::kOk) {
-              if (r.status == IoStatus::kMediaError) {
-                // The source replica is bad: exclude it from future sourcing
-                // and rewrite it from whichever copy the restart picks.
-                bad_sources_.insert(ReplicaKey(source_disk, source_lba));
-                if (!drives_->failed(SlotId(source_disk))) {
-                  ++fstats().repairs_queued;
-                  AddDelayedWrite(source_disk, source_lba, len);
-                }
+           source_lba, done](const DiskOpResult& r, uint64_t id) mutable {
+            if (r.ok()) {
+              auto writes_left = std::make_shared<size_t>(targets.size());
+              for (const ReplicaLocation& loc : targets) {
+                EnqueueRebuildWrite(loc, len, writes_left, disk, resume, done);
               }
-              ++fstats().failovers;
-              RebuildNextFragment(disk, frag_start, std::move(done));
               return;
             }
-            auto writes_left = std::make_shared<size_t>(targets.size());
-            for (const ReplicaLocation& loc : targets) {
-              EnqueueRebuildWrite(loc, len, writes_left, disk, resume, done);
+            if (r.status == IoStatus::kMediaError) {
+              // The source replica is bad: exclude it from future sourcing
+              // and rewrite it from whichever copy the restart picks.
+              bad_sources_.insert(ReplicaKey(source_disk, source_lba));
+              if (!drives_->failed(SlotId(source_disk))) {
+                ++fstats().repairs_queued;
+                AddDelayedWrite(source_disk, source_lba, len);
+              }
             }
-          };
-      drives_->EnqueueDelayed(SlotId(source_disk), std::move(read_entry));
-      drives_->MaybeDispatch(SlotId(source_disk));
+            ++fstats().failovers;
+            // Restart the fragment copy with a different source.
+            RebuildNextFragment(disk, frag_start, std::move(done));
+            drives_->ResolveFault(id, FaultResolution::kFailedOver,
+                                  drives_->failed(SlotId(source_disk)));
+          });
       return;  // continue from the completion callbacks
     }
     lba += span;
   }
-  if (done) {
-    done(IoResult{IoStatus::kOk, sim_->Now(), 0});
-  }
+  FinishRebuildStream(IoStatus::kOk, std::move(done));
 }
 
 void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
@@ -1351,60 +1229,71 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
     }
     return;
   }
-  QueuedRequest w;
-  w.id = drives_->AllocEntryId();
-  w.op = DiskOp::kWrite;
-  w.sectors = len;
-  w.candidates = {BlockAddr(loc.lba)};
-  w.arrival_us = sim_->Now();
-  w.maintenance = true;
-  rebuild_write_done_[w.id] = [this, loc, len, writes_left, rebuild_disk,
-                               resume, done](const DiskOpResult& r) mutable {
-    if (r.status != IoStatus::kOk && !drives_->failed(SlotId(loc.disk))) {
-      // Transient failure of the copy write: retry after backoff. The write
-      // itself repairs any latent error at the target (firmware remap).
-      ++fstats().retries_issued;
-      ScheduleRecovery(1, [this, loc, len, writes_left, rebuild_disk, resume,
-                           done]() mutable {
-        if (drives_->failed(SlotId(loc.disk))) {
-          ++fstats().rebuild_fragments_lost;
-          if (--*writes_left == 0) {
-            RebuildNextFragment(rebuild_disk, resume, std::move(done));
-          }
+  (void)drives_->EnqueueCommand(  // mdl-ok(MDL002): the stream tracks itself
+      SlotId(loc.disk), DriveSet::Queue::kDelayed, DiskOp::kWrite,
+      BlockAddr(loc.lba), len,
+      [this, loc, len, writes_left, rebuild_disk, resume,
+       done](const DiskOpResult& r, uint64_t id) mutable {
+        const bool target_failed = drives_->failed(SlotId(loc.disk));
+        if (!r.ok() && !target_failed) {
+          // Transient failure of the copy write: retry after backoff, without
+          // an attempt bound. The write itself repairs any latent error at
+          // the target (firmware remap).
+          ++fstats().retries_issued;
+          drives_->ScheduleRecovery(1, [this, loc, len, writes_left,
+                                        rebuild_disk, resume,
+                                        done = std::move(done)]() mutable {
+            if (drives_->failed(SlotId(loc.disk))) {
+              ++fstats().rebuild_fragments_lost;
+              if (--*writes_left == 0) {
+                RebuildNextFragment(rebuild_disk, resume, std::move(done));
+              }
+              return;
+            }
+            EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume,
+                                std::move(done));
+          });
+          drives_->ResolveFault(id, FaultResolution::kRetried, false);
           return;
         }
-        EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume,
-                            std::move(done));
+        if (r.ok()) {
+          ++rebuild_copied_;
+        } else {
+          ++fstats().rebuild_fragments_lost;  // target slot died mid-copy
+        }
+        if (--*writes_left == 0) {
+          RebuildNextFragment(rebuild_disk, resume, std::move(done));
+        }
+        if (!r.ok()) {
+          drives_->ResolveFault(id, FaultResolution::kAbandoned, true);
+        }
       });
-      return;
-    }
-    if (r.status != IoStatus::kOk) {
-      ++fstats().rebuild_fragments_lost;  // target slot died mid-copy
-    } else {
-      ++rebuild_copied_;
-    }
-    if (--*writes_left == 0) {
-      RebuildNextFragment(rebuild_disk, resume, std::move(done));
-    }
-  };
-  drives_->EnqueueDelayed(SlotId(loc.disk), std::move(w));
-  drives_->MaybeDispatch(SlotId(loc.disk));
 }
 
 void ArrayController::ScheduleRecalibration(uint32_t disk) {
   recalibration_events_[disk] =
       sim_->ScheduleAfter(options_.recalibration_interval_us, [this, disk]() {
     auto* hp = dynamic_cast<HeadPositionPredictor*>(drives_->predictor(SlotId(disk)));
-    if (hp != nullptr) {
-      QueuedRequest entry;
-      entry.id = drives_->AllocEntryId();
-      entry.op = DiskOp::kRead;
-      entry.sectors = 1;
-      entry.candidates = {BlockAddr(hp->reference_lba())};
-      entry.arrival_us = sim_->Now();
-      entry.maintenance = true;
-      drives_->EnqueueFg(SlotId(disk), std::move(entry));
-      drives_->MaybeDispatch(SlotId(disk));
+    // A failed slot has no head to recalibrate.
+    if (hp != nullptr && !drives_->failed(SlotId(disk))) {
+      // mdl-ok(MDL002): the read is its own record
+      (void)drives_->EnqueueCommand(
+          SlotId(disk), DriveSet::Queue::kForeground, DiskOp::kRead,
+          BlockAddr(hp->reference_lba()), 1,
+          [this, disk](const DiskOpResult& r, uint64_t id) {
+            if (!r.ok()) {
+              // Nothing to recover: the observation is simply missed and the
+              // next timer issues a fresh one.
+              drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                                    drives_->failed(SlotId(disk)));
+              return;
+            }
+            ++stats_.recalibration_reads;
+            if (auto* current = dynamic_cast<HeadPositionPredictor*>(
+                    drives_->predictor(SlotId(disk)))) {
+              current->AddReferenceObservation(r.completion_us);
+            }
+          });
     }
     ScheduleRecalibration(disk);
   });
@@ -1437,8 +1326,8 @@ void ArrayController::ExportStats(StatsRegistry* registry) const {
                 static_cast<double>(stats_.delayed_writes_discarded));
   registry->Set("array.read_duplicates_cancelled",
                 static_cast<double>(stats_.read_duplicates_cancelled));
-  registry->Set("array.maintenance_reads",
-                static_cast<double>(stats_.maintenance_reads));
+  registry->Set("array.recalibration_reads",
+                static_cast<double>(stats_.recalibration_reads));
   registry->Set("array.parked_reads",
                 static_cast<double>(stats_.parked_reads));
   registry->Set("array.stale_fallback_reads",

@@ -9,12 +9,16 @@
 // counting, auto-fail, hot-spare promotion, the scrub timer, observer
 // wiring — lives in the shared DriveSet engine (src/io/drive_set.h); this
 // class is the mirror *policy* over that engine and one of the two
-// ArrayBackend implementations.
+// ArrayBackend implementations. Foreground fragments and replica
+// propagations are raw engine entries (multi-candidate, duplicated and
+// cancelled at dispatch, NVRAM-backed); rebuild copies, scrub reads and
+// recalibration reads are engine commands whose callbacks carry their own
+// recovery. Either way the engine only routes the completion: every retry,
+// failover and repair decision is made here.
 #ifndef MIMDRAID_SRC_ARRAY_CONTROLLER_H_
 #define MIMDRAID_SRC_ARRAY_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -101,7 +105,7 @@ struct ArrayStats {
   uint64_t delayed_writes_forced = 0;   // moved to FG by the table limit
   uint64_t delayed_writes_discarded = 0;  // superseded by a newer write
   uint64_t read_duplicates_cancelled = 0;
-  uint64_t maintenance_reads = 0;
+  uint64_t recalibration_reads = 0;  // reference-sector reads completed
   uint64_t parked_reads = 0;  // reads ordered behind an in-flight write
   // Reads served while every replica carried a stale marker (possible only
   // under partially overlapping unaligned writes; see SubmitReadFragment).
@@ -177,9 +181,9 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
     RebuildDisk(disk.value(), std::move(done));
   }
   uint64_t rebuild_copied_fragments() const { return rebuild_copied_; }
-  bool RebuildInProgress() const override {
-    return !rebuild_read_done_.empty() || !rebuild_write_done_.empty();
-  }
+  // True from RebuildDisk until that stream's `done` is about to fire, for
+  // every stream (rebuilds of different slots may run side by side).
+  bool RebuildInProgress() const override { return rebuild_streams_ > 0; }
 
   // --- Hot spares and fault recovery. ---
   // Registers a standby drive (and its predictor) the controller may promote
@@ -257,9 +261,10 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   void OnEntryComplete(SlotId slot, const QueuedRequest& entry,
                        BlockAddr chosen_addr,
                        const DiskOpResult& result) override;
-  // Engine fail-stopped the slot: abandon its propagations and reroute its
-  // queued foreground entries before any spare promotion.
-  void OnSlotFailed(SlotId slot) override;
+  // The slot failed (engine fail-stop or FailDisk): abandon its drained
+  // propagations and reroute its drained foreground entries before any
+  // spare promotion.
+  void OnSlotFailed(SlotId slot, std::vector<QueuedRequest> drained) override;
   bool SparePromotionAllowed(SlotId slot) override;
   // Physical span the slot's column occupies through its drive's placement —
   // the extent a promoted spare must resolve.
@@ -304,9 +309,14 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   void EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
                            std::shared_ptr<size_t> writes_left,
                            uint32_t rebuild_disk, uint64_t resume, DoneFn done);
+  // Ends one rebuild stream and reports `status` through its `done`.
+  void FinishRebuildStream(IoStatus status, DoneFn done);
+  // Completion of one scrub read of replica `loc` (id 0: drained unread).
+  void ScrubReadDone(ReplicaLocation loc, uint32_t sectors,
+                     const DiskOpResult& result, uint64_t id);
   bool ReplicaIsStale(uint32_t disk, uint64_t lba, uint32_t sectors) const;
 
-  // --- Fault recovery ---
+  // --- Fault recovery (raw entries) ---
   // Dispatches a failed entry's recovery; called from OnEntryComplete for
   // every non-kOk completion after the engine has the fault on record.
   void HandleEntryFailure(uint32_t disk, const QueuedRequest& entry,
@@ -317,16 +327,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
                           uint64_t chosen_lba, const DiskOpResult& result);
   void HandleDelayedFailure(uint32_t disk, const QueuedRequest& entry,
                             uint64_t chosen_lba, const DiskOpResult& result);
-  void HandleMaintenanceFailure(uint32_t disk, const QueuedRequest& entry,
-                                uint64_t chosen_lba,
-                                const DiskOpResult& result);
-  void ResolveFault(uint64_t entry_id, FaultResolution resolution,
-                    bool target_disk_failed);
-  void AbandonDelayedQueue(uint32_t disk);
-  void RerouteQueuedEntries(uint32_t disk);
-  // Schedules `fn` after the retry backoff for `attempt`; Idle() stays false
-  // until every such recovery event has fired.
-  void ScheduleRecovery(uint32_t attempt, std::function<void()> fn);
   void NoteOpRecoveryAttempt(uint64_t op_id);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
@@ -370,13 +370,8 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   std::vector<uint64_t> wake_sectors_;
 
   uint64_t rebuild_copied_ = 0;
-  // Rebuild plumbing: completion hooks for the maintenance-tagged copy ops.
-  // Both receive the DiskOpResult so the failure path can reroute (pick a
-  // new source / retry the write) instead of silently dropping the copy.
-  std::unordered_map<uint64_t, std::function<void(const DiskOpResult&)>>
-      rebuild_read_done_;
-  std::unordered_map<uint64_t, std::function<void(const DiskOpResult&)>>
-      rebuild_write_done_;
+  // Rebuild streams started and not yet finished (one per RebuildDisk).
+  size_t rebuild_streams_ = 0;
   // Replica sources that returned a media error during rebuild/scrub
   // sourcing; never picked again (keyed by ReplicaKey).
   std::unordered_set<uint64_t> bad_sources_;
@@ -388,13 +383,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // Their ratio lands in fstats().scrub_last_sweep_coverage at sweep wrap.
   uint64_t sweep_sectors_issued_ = 0;
   uint64_t sweep_sectors_nominal_ = 0;
-  // In-flight scrub reads: entry id -> target replica.
-  struct ScrubTarget {
-    uint32_t disk = 0;
-    uint64_t lba = 0;
-    uint32_t sectors = 0;
-  };
-  std::unordered_map<uint64_t, ScrubTarget> scrub_reads_;
 
   ArrayStats stats_;
 };

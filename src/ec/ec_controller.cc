@@ -32,6 +32,42 @@ DriveSetOptions EngineOptions(const EcControllerOptions& options) {
 
 }  // namespace
 
+template <typename Fn>
+void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
+                                 uint32_t sectors, Fn done,
+                                 uint32_t attempts) {
+  // Command retry is this policy's: a transient error or timeout on a live
+  // disk is retried with a fresh command after backoff, up to
+  // retry.max_attempts, so `done` sees only kOk, a terminal transient
+  // failure, or kDiskFailed.
+  auto command = [this, disk, op, lba, sectors, attempts,
+                  done = std::move(done)](const DiskOpResult& r,
+                                          uint64_t id) mutable {
+    if (!r.ok() && r.status != IoStatus::kDiskFailed &&
+        attempts + 1 < options_.retry.max_attempts &&
+        !drives_->failed(SlotId(disk))) {
+      ++fstats().retries_issued;
+      drives_->ResolveFault(id, FaultResolution::kRetried, false);
+      drives_->ScheduleRecovery(
+          attempts, [this, disk, op, lba, sectors, attempts,
+                     done = std::move(done)]() mutable {
+            EnqueueDiskOp(disk, op, lba, sectors, std::move(done),
+                          attempts + 1);
+          });
+      return;
+    }
+    done(r, id);
+  };
+  // One command per sub-op: a wrapper that outgrew the slab's inline buffer
+  // would add a heap allocation to every one of them.
+  static_assert(DriveSet::CommandDoneFn::FitsInline<decltype(command)>,
+                "erasure sub-op closure outgrew DriveSet::CommandDoneFn");
+  // The controller tracks its stripe ops by its own op ids.
+  (void)drives_->EnqueueCommand(  // mdl-ok(MDL002): engine id unused by policy
+      SlotId(disk), DriveSet::Queue::kForeground, op, BlockAddr(lba), sectors,
+      std::move(command));
+}
+
 EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
                            std::vector<AccessPredictor*> predictors,
                            const EcLayout* layout, const EcCodec* codec,
@@ -106,7 +142,7 @@ bool EcController::FailDisk(SlotId disk) {
   if (drives_->fault_injector() != nullptr) {
     drives_->fault_injector()->FailStop(disk.value());
   }
-  drives_->FailQueuedCommands(disk);
+  OnSlotFailed(disk, drives_->DrainFailedSlot(disk));
   return true;
 }
 
@@ -114,14 +150,16 @@ void EcController::OnEntryComplete(SlotId /*disk*/,
                                    const QueuedRequest& /*entry*/,
                                    BlockAddr /*chosen_lba*/,
                                    const DiskOpResult& /*result*/) {
-  // Every erasure sub-op registers a command callback with the engine; a
-  // completion falling through to the raw-entry hook means the command table
-  // lost an entry.
+  // Every erasure sub-op is an engine command; a completion falling through
+  // to the raw-entry hook means an entry lost its command handle.
   MIMDRAID_CHECK(false);
 }
 
-void EcController::OnSlotFailed(SlotId disk) {
-  drives_->FailQueuedCommands(disk);
+void EcController::OnSlotFailed(SlotId /*disk*/,
+                                std::vector<QueuedRequest> drained) {
+  // The drain already completed every queued sub-op with kDiskFailed; the
+  // callbacks re-plan around the dead slot.
+  MIMDRAID_CHECK(drained.empty());
 }
 
 uint64_t EcController::UsedSpanSectors(SlotId /*disk*/) const {
@@ -192,20 +230,20 @@ void EcController::ScrubStep() {
             EnqueueDiskOp(d, DiskOp::kWrite, lba, unit,
                           [this](const DiskOpResult& w, uint64_t wid) {
                             if (!w.ok()) {
-                              ResolveCommandFault(
+                              drives_->ResolveFault(
                                   wid, FaultResolution::kSurfaced,
                                   w.status == IoStatus::kDiskFailed);
                             }
                           });
-            ResolveCommandFault(id, FaultResolution::kRepaired,
-                                /*target_disk_failed=*/false);
+            drives_->ResolveFault(id, FaultResolution::kRepaired,
+                                  /*target_disk_failed=*/false);
             return;
           }
           const bool disk_failed = drives_->failed(SlotId(d));
-          ResolveCommandFault(id,
-                              disk_failed ? FaultResolution::kAbandoned
-                                          : FaultResolution::kSurfaced,
-                              disk_failed);
+          drives_->ResolveFault(id,
+                                disk_failed ? FaultResolution::kAbandoned
+                                            : FaultResolution::kSurfaced,
+                                disk_failed);
         });
   }
 }
@@ -273,8 +311,8 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
         [this, work](const DiskOpResult& r, uint64_t id) {
           if (work->abandoned) {
             if (!r.ok()) {
-              ResolveCommandFault(id, FaultResolution::kSurfaced,
-                                  r.status == IoStatus::kDiskFailed);
+              drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                                    r.status == IoStatus::kDiskFailed);
             }
             return;
           }
@@ -291,8 +329,8 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
           const bool repair =
               r.status == IoStatus::kMediaError &&
               !drives_->failed(SlotId(work->frag.data_disk));
-          ResolveCommandFault(id, FaultResolution::kFailedOver,
-                              drives_->failed(SlotId(work->frag.data_disk)));
+          drives_->ResolveFault(id, FaultResolution::kFailedOver,
+                                drives_->failed(SlotId(work->frag.data_disk)));
           SubmitReadFragment(work->op_id, work->frag,
                              /*force_degraded=*/true, repair);
         });
@@ -327,8 +365,8 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
                     if (!r.ok()) {
                       // A fault while decoding an already-missing member:
                       // the loss is surfaced to the submitter.
-                      ResolveCommandFault(id, FaultResolution::kSurfaced,
-                                          r.status == IoStatus::kDiskFailed);
+                      drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                                            r.status == IoStatus::kDiskFailed);
                     }
                     if (work->abandoned) {
                       return;
@@ -451,8 +489,8 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   auto read_cb = [this, work](const DiskOpResult& r, uint64_t id) {
     if (work->abandoned) {
       if (!r.ok()) {
-        ResolveCommandFault(id, FaultResolution::kSurfaced,
-                            r.status == IoStatus::kDiskFailed);
+        drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                              r.status == IoStatus::kDiskFailed);
       }
       return;
     }
@@ -461,8 +499,8 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
         // Row membership changed under us: re-plan against the survivors.
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
-        ResolveCommandFault(id, FaultResolution::kFailedOver,
-                            /*target_disk_failed=*/true);
+        drives_->ResolveFault(id, FaultResolution::kFailedOver,
+                              /*target_disk_failed=*/true);
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
         return;
       }
@@ -472,16 +510,16 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
         ++fstats().failovers;
-        ResolveCommandFault(id, FaultResolution::kFailedOver,
-                            /*target_disk_failed=*/false);
+        drives_->ResolveFault(id, FaultResolution::kFailedOver,
+                              /*target_disk_failed=*/false);
         SubmitWriteFragment(work->op_id, work->frag, /*force_degraded=*/true);
         return;
       }
       // Already on the fallback plan and a decode column is unreadable: the
       // new parity cannot be computed.
       work->status = Worse(work->status, IoStatus::kUnrecoverable);
-      ResolveCommandFault(id, FaultResolution::kSurfaced,
-                          /*target_disk_failed=*/false);
+      drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                            /*target_disk_failed=*/false);
     }
     FragmentPhaseDone(work, r.completion_us, &r);
   };
@@ -532,8 +570,9 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
                     frag.sectors,
                     [this](const DiskOpResult& w, uint64_t id) {
                       if (!w.ok()) {
-                        ResolveCommandFault(id, FaultResolution::kSurfaced,
-                                            w.status == IoStatus::kDiskFailed);
+                        drives_->ResolveFault(
+                            id, FaultResolution::kSurfaced,
+                            w.status == IoStatus::kDiskFailed);
                       }
                     });
     }
@@ -559,8 +598,8 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
   auto on_write = [this, work, writes](const DiskOpResult& r, uint64_t id) {
     if (work->abandoned) {
       if (!r.ok()) {
-        ResolveCommandFault(id, FaultResolution::kSurfaced,
-                            r.status == IoStatus::kDiskFailed);
+        drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                              r.status == IoStatus::kDiskFailed);
       }
       return;
     }
@@ -570,14 +609,14 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
         // members are (re)written by the new plan.
         work->abandoned = true;
         NoteOpRecovery(work->op_id);
-        ResolveCommandFault(id, FaultResolution::kFailedOver,
-                            /*target_disk_failed=*/true);
+        drives_->ResolveFault(id, FaultResolution::kFailedOver,
+                              /*target_disk_failed=*/true);
         SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
         return;
       }
       work->status = Worse(work->status, IoStatus::kUnrecoverable);
-      ResolveCommandFault(id, FaultResolution::kSurfaced,
-                          /*target_disk_failed=*/false);
+      drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                            /*target_disk_failed=*/false);
     }
     MIMDRAID_CHECK_GT(*writes, 0);
     if (--*writes == 0) {
@@ -654,23 +693,6 @@ void EcController::NoteOpRecovery(uint64_t op_id) {
   auto it = ops_.find(op_id);
   if (it != ops_.end()) {
     ++it->second.recovery_attempts;
-  }
-}
-
-void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
-                                 uint32_t sectors,
-                                 DriveSet::CommandDoneFn done,
-                                 uint32_t attempts) {
-  // The controller tracks its stripe ops by its own op ids; the engine entry
-  // id is only meaningful to the DriveSet retry machinery.
-  (void)drives_->EnqueueCommand(  // mdl-ok(MDL002): engine id unused by policy
-      SlotId(disk), op, BlockAddr(lba), sectors, std::move(done), attempts);
-}
-
-void EcController::ResolveCommandFault(uint64_t id, FaultResolution resolution,
-                                       bool target_disk_failed) {
-  if (id != 0) {
-    drives_->ResolveFault(id, resolution, target_disk_failed);
   }
 }
 
@@ -758,8 +780,8 @@ void EcController::RebuildNextRow() {
     auto after_reads = [this, disk, lba, unit, remaining, lost,
                         column_died](const DiskOpResult& r, uint64_t id) {
       if (!r.ok()) {
-        ResolveCommandFault(id, FaultResolution::kSurfaced,
-                            r.status == IoStatus::kDiskFailed);
+        drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                              r.status == IoStatus::kDiskFailed);
         *lost = true;
         if (r.status == IoStatus::kDiskFailed) {
           *column_died = true;
@@ -791,8 +813,8 @@ void EcController::RebuildNextRow() {
           disk, DiskOp::kWrite, lba, unit,
           [this, disk](const DiskOpResult& w, uint64_t wid) {
             if (!w.ok()) {
-              ResolveCommandFault(wid, FaultResolution::kSurfaced,
-                                  w.status == IoStatus::kDiskFailed);
+              drives_->ResolveFault(wid, FaultResolution::kSurfaced,
+                                    w.status == IoStatus::kDiskFailed);
             }
             if (!w.ok() && drives_->failed(SlotId(disk))) {
               AbortRebuild(disk);

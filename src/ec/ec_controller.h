@@ -8,9 +8,10 @@
 // paper's frontier: RAID-5 is the k+1 case (an EcLayout under the kRaid5
 // scheme), k+2 is RAID-6, larger m buys tolerance of m concurrent failures at
 // k/(k+m) capacity efficiency. It is a pure policy layer: the per-drive
-// machinery — scheduler queues, dispatch, bounded retry, fault counting,
-// auto-fail, hot-spare promotion, the scrub timer, observer wiring — lives in
-// the shared DriveSet engine.
+// machinery — scheduler queues, dispatch, fault counting, auto-fail,
+// hot-spare promotion, the scrub timer, observer wiring — lives in the shared
+// DriveSet engine, which routes every sub-op's completion back here; bounded
+// command retry, failover and repair are this controller's decisions.
 //
 // Write planning: for a fragment targeting data shard D with p <= m live
 // parity columns, read-modify-write costs (1 + p) reads + (1 + p) writes
@@ -217,7 +218,7 @@ class EcController : public ArrayBackend, private DriveSetClient {
   void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
                        BlockAddr chosen_lba,
                        const DiskOpResult& result) override;
-  void OnSlotFailed(SlotId disk) override;
+  void OnSlotFailed(SlotId disk, std::vector<QueuedRequest> drained) override;
   // Promotion keeps the engine default (always allowed): a promotion during
   // a rebuild queues behind it instead of clobbering the rebuild cursor.
   uint64_t UsedSpanSectors(SlotId disk) const override;
@@ -231,10 +232,12 @@ class EcController : public ArrayBackend, private DriveSetClient {
                           bool repair_on_success = false);
   void SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
                            bool force_degraded = false);
+  // Queues one sub-op on the foreground queue with bounded retry. `done` is
+  // any `void(const DiskOpResult&, uint64_t id)` callable; taking it by type
+  // keeps the retry wrapper inside CommandDoneFn's inline buffer.
+  template <typename Fn>
   void EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba, uint32_t sectors,
-                     DriveSet::CommandDoneFn done, uint32_t attempts = 0);
-  void ResolveCommandFault(uint64_t id, FaultResolution resolution,
-                           bool target_disk_failed);
+                     Fn done, uint32_t attempts = 0);
   void FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
                          SimTime completion, const DiskOpResult* last = nullptr);
   void OpPartDone(uint64_t op_id, SimTime completion, IoStatus status,

@@ -150,7 +150,9 @@ void DriveSet::MaybeDispatch(SlotId slot) {
     options_.collector->OnQueueDepth(slot.value(), sim_->Now(), fg_[slot.value()].size());
   }
 
-  client_->OnEntryDispatched(slot, entry);
+  if (entry.command == 0) {
+    client_->OnEntryDispatched(slot, entry);
+  }
 
   // Non-positional schedulers (FCFS/LOOK/...) do not produce a prediction;
   // compute one so head tracking and accuracy statistics work under every
@@ -193,59 +195,29 @@ void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,
     options_.auditor->OnEntryCompleted(slot.value(), entry.id);
   }
   if (!result.ok()) {
-    // Open a fault record before any recovery: whoever retires the fault
-    // (engine-level command retry or the policy) must close it with exactly
-    // one resolution.
+    // Open a fault record before any recovery: the policy that retires the
+    // fault must close it with exactly one resolution.
     if (options_.auditor != nullptr) {
       options_.auditor->OnIoFault(slot.value(), entry.id);
     }
     CountFault(slot, result.status);
   }
-
-  auto cit = command_done_.find(entry.id);
-  if (cit == command_done_.end()) {
+  if (entry.command == 0) {
     client_->OnEntryComplete(slot, entry, chosen_lba, result);
     return;
   }
-  CommandDoneFn done = std::move(cit->second);
-  command_done_.erase(cit);
-  if (!result.ok() && result.status != IoStatus::kDiskFailed &&
-      entry.attempts + 1 < options_.retry.max_attempts && !failed_[slot.value()]) {
-    // Transient error or timeout: retry the command after backoff with a
-    // fresh queue entry.
-    ++fstats_.retries_issued;
-    ResolveFault(entry.id, FaultResolution::kRetried, false);
-    ++pending_recovery_;
-    const DiskOp op = entry.op;
-    const uint32_t sectors = entry.sectors;
-    const uint32_t attempts = entry.attempts;
-    sim_->ScheduleAfter(options_.retry.BackoffUs(attempts),
-                        [this, slot, op, chosen_lba, sectors, attempts,
-                         done = std::move(done)]() mutable {
-                          --pending_recovery_;
-                          // The retry keeps the original entry's identity in
-                          // `done`; the fresh queue id is engine-internal.
-                          (void)EnqueueCommand(  // mdl-ok(MDL002): retry id unused
-                              slot, op, chosen_lba, sectors, std::move(done),
-                              attempts + 1);
-                        });
-    return;
-  }
-  done(result, entry.id);
+  FinishCommand(entry.command, result, entry.id);
 }
 
-uint64_t DriveSet::EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
-                                  uint32_t sectors, CommandDoneFn done,
-                                  uint32_t attempts) {
+uint64_t DriveSet::EnqueueCommand(SlotId slot, Queue queue, DiskOp op,
+                                  BlockAddr lba, uint32_t sectors,
+                                  CommandDoneFn done) {
+  const uint32_t handle = StoreCommand(std::move(done));
   if (failed_[slot.value()]) {
     // The slot died between planning and enqueue: complete with kDiskFailed
     // through the event queue so callers re-plan from a clean stack.
-    CompleteDeferred([this, done = std::move(done)] {
-      DiskOpResult failure;
-      failure.status = IoStatus::kDiskFailed;
-      failure.start_us = sim_->Now();
-      failure.completion_us = sim_->Now();
-      done(failure, 0);
+    CompleteDeferred([this, handle] {
+      FinishCommand(handle, SyntheticFailure(), 0);
     });
     return 0;
   }
@@ -255,36 +227,70 @@ uint64_t DriveSet::EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
   entry.sectors = sectors;
   entry.candidates = {lba};
   entry.arrival_us = sim_->Now();
-  entry.attempts = attempts;
+  entry.command = handle;
   const uint64_t id = entry.id;
-  command_done_[id] = std::move(done);
-  EnqueueFg(slot, std::move(entry));
+  if (queue == Queue::kForeground) {
+    EnqueueFg(slot, std::move(entry));
+  } else {
+    EnqueueDelayed(slot, std::move(entry));
+  }
   MaybeDispatch(slot);
   return id;
 }
 
-void DriveSet::FailQueuedCommands(SlotId slot) {
-  std::vector<QueuedRequest> drained;
-  drained.swap(fg_[slot.value()]);
-  if (options_.collector != nullptr && !drained.empty()) {
-    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), 0);
+uint32_t DriveSet::StoreCommand(CommandDoneFn done) {
+  if (free_commands_.empty()) {
+    commands_.push_back(std::move(done));
+    return static_cast<uint32_t>(commands_.size());
   }
+  const uint32_t handle = free_commands_.back();
+  free_commands_.pop_back();
+  commands_[handle - 1] = std::move(done);
+  return handle;
+}
+
+void DriveSet::FinishCommand(uint32_t handle, const DiskOpResult& result,
+                             uint64_t id) {
+  // Taken out of the slab before the call: the callback may queue commands
+  // of its own, which can reuse this slot or grow the slab.
+  CommandDoneFn done = std::move(commands_[handle - 1]);
+  free_commands_.push_back(handle);
+  done(result, id);
+}
+
+DiskOpResult DriveSet::SyntheticFailure() const {
   DiskOpResult failure;
   failure.status = IoStatus::kDiskFailed;
   failure.start_us = sim_->Now();
   failure.completion_us = sim_->Now();
-  for (QueuedRequest& entry : drained) {
-    if (options_.auditor != nullptr) {
-      options_.auditor->OnEntryCancelled(slot.value(), entry.id);
+  return failure;
+}
+
+std::vector<QueuedRequest> DriveSet::DrainFailedSlot(SlotId slot) {
+  std::vector<QueuedRequest> delayed;
+  std::vector<QueuedRequest> fg;
+  delayed.swap(delayed_[slot.value()]);
+  fg.swap(fg_[slot.value()]);
+  const DiskOpResult failure = SyntheticFailure();
+  std::vector<QueuedRequest> raw;
+  auto drain = [&](std::vector<QueuedRequest>& queue) {
+    for (QueuedRequest& entry : queue) {
+      if (options_.auditor != nullptr) {
+        options_.auditor->OnEntryCancelled(slot.value(), entry.id);
+      }
+      if (entry.command != 0) {
+        FinishCommand(entry.command, failure, 0);
+      } else {
+        raw.push_back(std::move(entry));
+      }
     }
-    auto it = command_done_.find(entry.id);
-    if (it == command_done_.end()) {
-      continue;
-    }
-    auto done = std::move(it->second);
-    command_done_.erase(it);
-    done(failure, 0);
+  };
+  drain(delayed);
+  if (options_.collector != nullptr && !fg.empty()) {
+    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), 0);
   }
+  drain(fg);
+  return raw;
 }
 
 void DriveSet::CountFault(SlotId slot, IoStatus status) {
@@ -326,7 +332,7 @@ void DriveSet::AutoFail(SlotId slot) {
     // cannot half-work its way back into the array.
     options_.fault_injector->FailStop(slot.value());
   }
-  client_->OnSlotFailed(slot);
+  client_->OnSlotFailed(slot, DrainFailedSlot(slot));
   PromoteSpareIfAvailable(slot);
 }
 
@@ -380,16 +386,18 @@ void DriveSet::PromoteSpareIfAvailable(SlotId slot) {
   client_->OnSparePromoted(slot);
 }
 
-void DriveSet::ScheduleRecovery(uint32_t attempt, std::function<void()> fn) {
+void DriveSet::ScheduleRecovery(uint32_t attempt, DeferredFn fn) {
   ++pending_recovery_;
-  sim_->ScheduleAfter(options_.retry.BackoffUs(attempt),
-                      [this, fn = std::move(fn)]() {
-                        --pending_recovery_;
-                        fn();
-                      });
+  auto bracketed = [this, fn = std::move(fn)]() {
+    --pending_recovery_;
+    fn();
+  };
+  static_assert(Simulator::EventFn::FitsInline<decltype(bracketed)>,
+                "recovery closure outgrew Simulator::EventFn");
+  sim_->ScheduleAfter(options_.retry.BackoffUs(attempt), std::move(bracketed));
 }
 
-void DriveSet::CompleteDeferred(std::function<void()> fn) {
+void DriveSet::CompleteDeferred(DeferredFn fn) {
   ++pending_recovery_;
   sim_->ScheduleAfter(SimDuration(0), [this, fn = std::move(fn)]() {
     --pending_recovery_;
@@ -399,7 +407,7 @@ void DriveSet::CompleteDeferred(std::function<void()> fn) {
 
 void DriveSet::ResolveFault(uint64_t entry_id, FaultResolution resolution,
                             bool target_disk_failed) {
-  if (options_.auditor != nullptr) {
+  if (options_.auditor != nullptr && entry_id != 0) {
     options_.auditor->OnFaultResolved(entry_id, resolution,
                                       target_disk_failed);
   }

@@ -5,28 +5,33 @@
 // dispatch loop, bounded retry with backoff, consecutive-error auto-fail,
 // fail-stop response, hot-spare promotion, the idle-gated scrub timer, and
 // the wiring of the three observer layers (InvariantAuditor, FaultInjector,
-// TraceCollector). DriveSet extracts that machinery once; a backend is now a
-// policy layer (mirror heuristics + delayed propagation on one side, parity
-// geometry + RMW planning on the other) speaking to the engine through the
+// TraceCollector). DriveSet extracts that machinery once, all but retry,
+// whose unit differs per policy (the fragment for the mirror, the disk
+// command for the parity controller); a backend is now a policy layer
+// (mirror heuristics + delayed propagation on one side, parity geometry +
+// RMW planning on the other) speaking to the engine through the
 // DriveSetClient hooks below.
 //
-// Two usage styles coexist, matching the two controllers' historical shapes:
+// One completion protocol: the engine queues, dispatches, counts faults and
+// routes each completion to whoever asked for the work; recovery is always
+// the policy's. Work reaches a queue in one of two forms:
+//  * Commands: EnqueueCommand queues one single-disk access on the
+//    foreground or the delayed queue together with its done callback, held
+//    in an allocation-free slab and found through the handle the queue entry
+//    carries. Every completion — kOk, a fault, or a synthetic kDiskFailed
+//    from a drain — goes to that callback exactly once. The parity
+//    controller's sub-ops and the mirror's rebuild, scrub and recalibration
+//    I/O are commands.
 //  * Raw entries: the policy allocates ids (AllocEntryId), builds
-//    QueuedRequest values, enqueues them (EnqueueFg/EnqueueDelayed), and gets
-//    every completion through DriveSetClient::OnEntryComplete. The engine does
-//    the observer bookkeeping and fault counting; recovery is entirely the
-//    policy's (the mirror path, whose retry unit is the *fragment*).
-//  * Commands: EnqueueCommand registers a per-entry done callback and the
-//    engine runs bounded retry with backoff for transient statuses itself,
-//    delivering only terminal results (the parity path, whose retry unit is
-//    the *disk command*).
+//    QueuedRequest values (multi-candidate reads, duplicates cancelled at
+//    dispatch, NVRAM-backed propagations), enqueues them (EnqueueFg/
+//    EnqueueDelayed), and gets their completions through
+//    DriveSetClient::OnEntryComplete.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +45,7 @@
 #include "src/sim/io_status.h"
 #include "src/sim/simulator.h"
 #include "src/stats/fault_stats.h"
+#include "src/util/inline_fn.h"
 
 namespace mimdraid {
 
@@ -69,8 +75,8 @@ struct DriveSetOptions {
   InvariantAuditor* auditor = nullptr;
   FaultInjector* fault_injector = nullptr;
   TraceCollector* collector = nullptr;
-  // Bounded retry with exponential backoff, used by the engine for command
-  // execution and by policies for their own recovery timers.
+  // Bounded retry with exponential backoff: the backoff of the recovery
+  // timers (ScheduleRecovery) policies arm for their own retries.
   RetryPolicy retry;
   // Consecutive-error budget per slot before the engine declares the drive
   // failed and promotes a hot spare (0 = never auto-fail on error count; an
@@ -93,25 +99,28 @@ class DriveSetClient {
  public:
   virtual ~DriveSetClient() = default;
 
-  // An entry was picked and removed from a queue, observers notified, and is
-  // about to be predicted + started on the drive. The mirror policy cancels
-  // duplicate siblings here.
+  // A raw entry was picked and removed from a queue, observers notified, and
+  // is about to be predicted + started on the drive. The mirror policy
+  // cancels duplicate siblings here. Commands do not come through here.
   virtual void OnEntryDispatched(SlotId /*disk*/,
                                  const QueuedRequest& /*entry*/) {}
 
-  // A raw (non-command) entry completed. The engine has already run the
-  // observer bookkeeping and fault accounting (including a possible
-  // auto-fail); recovery policy for the entry is the client's.
+  // A raw entry completed. The engine has already run the observer
+  // bookkeeping and fault accounting (including a possible auto-fail);
+  // recovery policy for the entry is the client's.
   virtual void OnEntryComplete(SlotId disk, const QueuedRequest& entry,
                                BlockAddr chosen_lba,
                                const DiskOpResult& result) = 0;
 
   // The engine fail-stopped `disk` (explicit kDiskFailed verdict or the
-  // consecutive-error threshold). The policy must dispose of the work it
-  // still has queued there (abandon propagations, reroute or fail entries);
-  // the engine touches no queue on this path. Called before any spare
-  // promotion.
-  virtual void OnSlotFailed(SlotId disk) = 0;
+  // consecutive-error threshold) and drained both of its queues
+  // (DriveSet::DrainFailedSlot): every queued command has already completed
+  // with a synthetic kDiskFailed, and `drained` holds the slot's raw entries
+  // — delayed queue first, then foreground, each in queue order — for the
+  // policy to dispose of (abandon propagations, reroute or fail entries).
+  // Called before any spare promotion.
+  virtual void OnSlotFailed(SlotId disk,
+                            std::vector<QueuedRequest> drained) = 0;
 
   // May the engine promote a hot spare into the failed slot right now? A
   // policy with no redundancy to rebuild from says no.
@@ -139,13 +148,20 @@ class DriveSetClient {
 
 class DriveSet {
  public:
-  // Terminal result of a command, plus the id of the queue entry that carried
-  // it (0 for synthetic completions that never held a queue slot — enqueue on
-  // an already-failed drive, or a drain). A non-kOk result with a non-zero id
-  // has an open auditor fault record the policy must resolve exactly once
-  // (ResolveFault); the engine resolves the faults it retires itself
-  // (engine-level retries).
-  using CommandDoneFn = std::function<void(const DiskOpResult&, uint64_t)>;
+  // Result of a command, plus the id of the queue entry that carried it (0
+  // for synthetic completions of commands that never reached the drive —
+  // enqueue on an already-failed slot, or a drain). A non-kOk result with a
+  // non-zero id has an open auditor fault record the policy must resolve
+  // exactly once (ResolveFault). The inline buffer holds the parity
+  // controller's retry wrapper around its largest sub-op closure, so a
+  // command allocates nothing.
+  using CommandDoneFn = InlineFn<void(const DiskOpResult&, uint64_t), 112>;
+  // Deferred work (recovery timers, synthetic completions). Sized so the
+  // engine's bracketing closure still fits Simulator::EventFn inline.
+  using DeferredFn = InlineFn<void(), 80>;
+
+  // The two queues of a slot. Foreground entries always outrank delayed ones.
+  enum class Queue { kForeground, kDelayed };
 
   // `disks` and `predictors` are parallel, same-size, borrowed. `client` is
   // borrowed and must outlive the DriveSet; no hook is called from the
@@ -189,7 +205,8 @@ class DriveSet {
   // queued once (EnqueueFg/EnqueueDelayed), and leaves exactly once — by
   // dispatch or by a policy-side cancellation the policy reports to the
   // auditor itself (the mutable refs exist for those paths: sibling
-  // cancellation, reroute-on-failure, delayed-table force-out).
+  // cancellation, superseded propagations, delayed-table force-out). A
+  // failed slot's queues are emptied by DrainFailedSlot.
   [[nodiscard]] uint64_t AllocEntryId() { return next_entry_id_++; }
   std::vector<QueuedRequest>& fg(SlotId slot) { return fg_[slot.value()]; }
   std::vector<QueuedRequest>& delayed(SlotId slot) {
@@ -214,28 +231,29 @@ class DriveSet {
   // Like AllDrivesQuiet but failed slots are skipped (scrub gating).
   bool LiveDrivesQuiet() const;
 
-  // --- Command execution (engine-run bounded retry) ---
-  // Queues one single-disk command. Transient failures (media error, timeout)
-  // are retried by the engine up to retry.max_attempts with backoff; `done`
-  // sees only kOk, a terminal transient failure, or kDiskFailed (after the
-  // engine has fail-stopped the slot). Enqueueing on an already-failed slot
-  // completes with a synthetic kDiskFailed through the event queue so callers
-  // re-plan from a clean stack. Returns the entry id (0 for that synthetic
-  // path).
-  [[nodiscard]] uint64_t EnqueueCommand(SlotId slot, DiskOp op, BlockAddr lba,
-                          uint32_t sectors, CommandDoneFn done,
-                          uint32_t attempts = 0);
-  // Drains `slot`'s foreground queue, completing every still-queued command
-  // with a synthetic kDiskFailed (id 0). Non-command entries are cancelled
-  // with the auditor and dropped — policies that mix raw entries with
-  // commands must reroute their raw entries themselves.
-  void FailQueuedCommands(SlotId slot);
+  // --- Commands ---
+  // Queues one single-disk command on `queue` and dispatches if the drive is
+  // idle. `done` sees the command's result exactly once, whatever it is: the
+  // engine retries nothing. Enqueueing on an already-failed slot completes
+  // with a synthetic kDiskFailed through the event queue so callers re-plan
+  // from a clean stack. Returns the entry id (0 for that synthetic path).
+  [[nodiscard]] uint64_t EnqueueCommand(SlotId slot, Queue queue, DiskOp op,
+                                        BlockAddr lba, uint32_t sectors,
+                                        CommandDoneFn done);
+  // Empties both of `slot`'s queues: each entry is cancelled with the
+  // auditor, every command completes with a synthetic kDiskFailed (id 0),
+  // delayed queue first, then foreground, each in queue order, and the raw
+  // entries come back in that same order for the policy to dispose of.
+  [[nodiscard]] std::vector<QueuedRequest> DrainFailedSlot(SlotId slot);
+  // Command slab slots ever allocated (live + free-listed). Bounded by the
+  // peak number of commands outstanding at once, not by throughput.
+  size_t CommandSlotsForTest() const { return commands_.size(); }
 
   // --- Failure response ---
   // Declares `slot` failed in response to an error verdict: marks it, counts
-  // it, makes the injector verdict binding (FailStop), lets the policy
-  // dispose of queued work (OnSlotFailed), then promotes a hot spare if one
-  // is registered and the policy allows it. Idempotent.
+  // it, makes the injector verdict binding (FailStop), drains its queues and
+  // hands the raw entries to the policy (OnSlotFailed), then promotes a hot
+  // spare if one is registered and the policy allows it. Idempotent.
   void AutoFail(SlotId slot);
   // Registers a standby drive + predictor (borrowed). Wired to the observers
   // only on promotion. Compatibility with a failed slot is checked at
@@ -249,13 +267,14 @@ class DriveSet {
   // --- Recovery timers ---
   // Runs `fn` after the retry backoff for `attempt`; pending_recovery() stays
   // non-zero until every such timer has fired (backends fold it into Idle()).
-  void ScheduleRecovery(uint32_t attempt, std::function<void()> fn);
+  void ScheduleRecovery(uint32_t attempt, DeferredFn fn);
   // Runs `fn` at the next event-queue turn (synthetic completions that must
   // not run inside the caller's stack frame), bracketed the same way.
-  void CompleteDeferred(std::function<void()> fn);
+  void CompleteDeferred(DeferredFn fn);
   size_t pending_recovery() const { return pending_recovery_; }
 
-  // Closes an open auditor fault record; a no-op without an auditor.
+  // Closes an open auditor fault record; a no-op without an auditor and for
+  // id 0 (a synthetic completion opens no record).
   void ResolveFault(uint64_t entry_id, FaultResolution resolution,
                     bool target_disk_failed);
 
@@ -270,6 +289,12 @@ class DriveSet {
  private:
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
+  // Parks `done` in the slab; returns its handle (slot index + 1).
+  uint32_t StoreCommand(CommandDoneFn done);
+  // Frees the handle's slot, then runs its callback.
+  void FinishCommand(uint32_t handle, const DiskOpResult& result, uint64_t id);
+  // kDiskFailed at Now(), for commands that never reached the drive.
+  DiskOpResult SyntheticFailure() const;
   void CountFault(SlotId slot, IoStatus status);
   void PromoteSpareIfAvailable(SlotId slot);
   void ScheduleScrubTick();
@@ -286,8 +311,11 @@ class DriveSet {
   std::vector<std::vector<QueuedRequest>> delayed_;
   uint64_t next_entry_id_ = 1;
 
-  // Registered command callbacks, keyed by entry id.
-  std::unordered_map<uint64_t, CommandDoneFn> command_done_;
+  // Command callbacks, indexed by QueuedRequest::command - 1. Freed slots
+  // are reused LIFO, so the slab stops growing once it covers the peak
+  // number of outstanding commands.
+  std::vector<CommandDoneFn> commands_;
+  std::vector<uint32_t> free_commands_;
 
   struct SpareEntry {
     SimDisk* disk = nullptr;

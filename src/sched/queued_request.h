@@ -37,9 +37,12 @@ struct QueuedRequest {
   // Background replica propagation (serviced only when the foreground queue
   // is empty; see Section 3.4).
   bool delayed = false;
-  // Calibration-maintenance access (periodic reference-sector read).
-  bool maintenance = false;
-  // Array-layer correlation handle (fragment key; 0 for delayed/maintenance).
+  // DriveSet command handle: the slot of the entry's completion callback in
+  // the engine's command slab, plus one. 0 marks a raw entry, whose
+  // completion goes to the policy's DriveSetClient::OnEntryComplete.
+  uint32_t command = 0;
+  // Array-layer correlation handle (fragment key; 0 for delayed entries and
+  // commands).
   uint64_t tag = 0;
   // Recovery attempts already spent on the work this entry carries; a retry
   // mints a fresh entry (fresh id, so queue conservation holds) with

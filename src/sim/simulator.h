@@ -38,8 +38,9 @@ class InvariantAuditor;
 class Simulator {
  public:
   // Inline capacity of an event callback. Sized for the engine's largest
-  // steady-state closure (DriveSet's command-retry lambda, which carries a
-  // CommandDoneFn); bigger captures still work via InlineFn's heap fallback.
+  // steady-state closure (DriveSet's bracket around a deferred
+  // DriveSet::DeferredFn); bigger captures still work via InlineFn's heap
+  // fallback.
   using EventFn = InlineFn<void(), 120>;
 
   Simulator() = default;

@@ -371,7 +371,7 @@ TEST(Controller, RecalibrationIssuesMaintenanceReads) {
   // without disturbing normal traffic.)
   rig.Do(DiskOp::kRead, 0, 8);
   rig.sim.RunUntil(rig.sim.Now() + SimDuration(200'000));
-  EXPECT_EQ(rig.controller->stats().maintenance_reads, 0u);
+  EXPECT_EQ(rig.controller->stats().recalibration_reads, 0u);
 }
 
 TEST(Controller, WriteThenDistantReadKeepsLatencyBounded) {

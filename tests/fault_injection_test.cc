@@ -5,16 +5,21 @@
 // hot-spare promotion, and background scrubbing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/array/array_layout.h"
 #include "src/array/controller.h"
 #include "src/calib/predictor.h"
+#include "src/core/mimd_raid.h"
 #include "src/disk/sim_disk.h"
 #include "src/ec/ec_controller.h"
 #include "src/ec/ec_layout.h"
 #include "src/ec/gf256.h"
+#include "src/obs/trace_collector.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
@@ -496,6 +501,371 @@ TEST(ArrayRecovery, ScrubberYieldsToForegroundTraffic) {
   }
   EXPECT_EQ(rig.controller->fault_stats().scrub_reads, 0u);
   rig.Drain();
+}
+
+TEST(ArrayRecovery, RebuildInProgressHoldsThroughWriteRetryBackoff) {
+  // A rebuild copy-write that fails transiently waits out a retry backoff
+  // with nothing queued for the stream; the rebuild is still in progress.
+  ArrayRig rig(1, 1, 2, FaultInjectorOptions{});
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(1)));
+  bool rebuilt = false;
+  rig.controller->Rebuild(SlotId(1), [&](const IoResult& r) {
+    EXPECT_EQ(r.status, IoStatus::kOk);
+    EXPECT_FALSE(rig.controller->RebuildInProgress());
+    rebuilt = true;
+  });
+  rig.injector.InjectTransientErrors(1, 1);
+  uint64_t gaps = 0;
+  while (!rebuilt) {
+    ASSERT_TRUE(rig.sim.Step());
+    if (!rebuilt && !rig.controller->RebuildInProgress()) {
+      ++gaps;
+    }
+  }
+  EXPECT_EQ(gaps, 0u);
+  EXPECT_EQ(rig.controller->fault_stats().retries_issued, 1u);
+  rig.Drain();
+  EXPECT_FALSE(rig.controller->IsFailed(SlotId(1)));
+}
+
+TEST(ArrayRecovery, ConcurrentRebuildsHoldInProgressUntilBothFinish) {
+  ArrayRig rig(1, 1, 3, FaultInjectorOptions{});
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(1)));
+  ASSERT_TRUE(rig.controller->FailDisk(SlotId(2)));
+  int rebuilt = 0;
+  auto done = [&](const IoResult& r) {
+    EXPECT_EQ(r.status, IoStatus::kOk);
+    ++rebuilt;
+  };
+  rig.controller->Rebuild(SlotId(1), done);
+  rig.controller->Rebuild(SlotId(2), done);
+  while (rebuilt < 2) {
+    ASSERT_TRUE(rig.sim.Step());
+    EXPECT_EQ(rig.controller->RebuildInProgress(), rebuilt < 2);
+  }
+  rig.Drain();
+}
+
+// ---------------------------------------------------------------------------
+// Mirror op-stream digests: what every drive of a mirrored array is asked to
+// do during its maintenance work (rebuild, scrub, recalibration, fail-stop
+// drain), pinned exactly. Each slot's (start, op, lba, sectors) command
+// stream is hashed, plus the fault-recovery and array counters, so any
+// change in issue order, recovery choice or accounting shows up here. The
+// constants were recorded while rebuild, scrub and recalibration I/O still
+// ran through the controller's own id-keyed completion hooks, before they
+// became DriveSet commands.
+// ---------------------------------------------------------------------------
+
+MimdRaidOptions MirrorOptions(TraceCollector* collector, int dm,
+                              uint32_t hot_spares,
+                              SimDuration scrub_interval_us) {
+  MimdRaidOptions options;
+  options.backend = ArrayBackendKind::kMirror;
+  options.aspect.ds = 1;
+  options.aspect.dr = 2;
+  options.aspect.dm = dm;
+  options.scheduler = SchedulerKind::kRsatf;
+  options.dataset_sectors = 4000;
+  options.stripe_unit_sectors = 16;
+  options.geometry = MakeTestGeometry();
+  options.profile = MakeTestSeekProfile();
+  options.seed = 11;
+  options.enable_fault_injection = true;
+  options.fault.seed = 11;
+  options.hot_spares = hot_spares;
+  options.scrub_interval_us = scrub_interval_us;
+  options.collector = collector;
+  return options;
+}
+
+std::unique_ptr<MimdRaid> MakeMirrorArray(TraceCollector* collector, int dm,
+                                          uint32_t hot_spares,
+                                          SimDuration scrub_interval_us) {
+  return std::make_unique<MimdRaid>(
+      MirrorOptions(collector, dm, hot_spares, scrub_interval_us));
+}
+
+void PumpArray(MimdRaid* array, const std::function<bool()>& finished) {
+  uint64_t steps = 0;
+  while (!finished()) {
+    ASSERT_TRUE(array->sim().Step()) << "simulator ran dry";
+    ASSERT_LT(++steps, 30'000'000u) << "run wedged";
+  }
+}
+
+void DrainMirror(MimdRaid* array) {
+  array->backend().StopScrub();
+  PumpArray(array, [array] {
+    return array->backend().Idle() && !array->backend().RebuildInProgress();
+  });
+}
+
+// Reads and writes of 1-24 sectors at random offsets, with an idle gap after
+// a `gap_prob` share of the submissions.
+void SubmitMirrorMix(MimdRaid* array, int ops, uint64_t seed, double gap_prob,
+                     int* done) {
+  Rng rng(seed);
+  const uint64_t capacity = array->backend().dataset_sectors();
+  for (int i = 0; i < ops; ++i) {
+    const DiskOp op = rng.Bernoulli(0.4) ? DiskOp::kWrite : DiskOp::kRead;
+    const uint32_t sectors = 1 + static_cast<uint32_t>(rng.UniformU64(24));
+    const uint64_t lba = rng.UniformU64(capacity - sectors);
+    array->backend().Submit(op, lba, sectors, [done](const IoResult& r) {
+      EXPECT_EQ(r.status, IoStatus::kOk);
+      ++*done;
+    });
+    if (rng.Bernoulli(gap_prob)) {
+      array->sim().RunUntil(
+          array->sim().Now() +
+          SimDuration(static_cast<int64_t>(rng.UniformU64(6'000))));
+    }
+  }
+}
+
+void MixDigest(uint64_t* h, uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    *h ^= (value >> (8 * b)) & 0xffu;
+    *h *= 1099511628211ull;
+  }
+}
+
+// FNV-1a over each slot's command stream in issue order, then one more
+// digest over the fault-recovery summary and the array counters.
+std::vector<uint64_t> MirrorDigests(MimdRaid* array,
+                                    const TraceCollector& collector) {
+  const size_t slots = array->num_disks();
+  std::vector<uint64_t> digests(slots + 1, 14695981039346656037ull);
+  for (const DiskOpRecord& rec : collector.disk_ops()) {
+    EXPECT_LT(rec.slot, slots);
+    if (rec.slot >= slots) {
+      continue;
+    }
+    uint64_t* h = &digests[rec.slot];
+    MixDigest(h, static_cast<uint64_t>(rec.start_us.us()));
+    MixDigest(h, rec.is_write ? 1u : 0u);
+    MixDigest(h, rec.lba);
+    MixDigest(h, rec.sectors);
+  }
+  uint64_t* h = &digests[slots];
+  for (const char c : array->backend().fault_stats().Summary()) {
+    MixDigest(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  const ArrayStats& s = array->controller().stats();
+  for (const uint64_t v :
+       {s.reads_completed, s.writes_completed, s.delayed_writes_completed,
+        s.delayed_writes_forced, s.delayed_writes_discarded,
+        s.read_duplicates_cancelled, s.recalibration_reads, s.parked_reads,
+        s.stale_fallback_reads,
+        array->controller().rebuild_copied_fragments()}) {
+    MixDigest(h, v);
+  }
+  return digests;
+}
+
+std::string FormatMirrorDigests(const std::vector<uint64_t>& digests) {
+  std::string out;
+  for (const uint64_t d : digests) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016llxull, ",
+                  static_cast<unsigned long long>(d));
+    out += buf;
+  }
+  return out;
+}
+
+// The live replica the rebuild of `target` sources its first fragment from:
+// the first replica off `target` of the first fragment `target` holds.
+uint32_t FirstRebuildSource(MimdRaid* array, uint32_t target) {
+  const ArrayLayout& layout = array->layout();
+  for (uint64_t lba = 0; lba < layout.dataset_sectors();
+       lba += layout.stripe_unit_sectors()) {
+    for (const ArrayFragment& f :
+         layout.Map(lba, layout.stripe_unit_sectors())) {
+      bool holds = false;
+      for (const ReplicaLocation& loc : f.replicas) {
+        holds = holds || loc.disk == target;
+      }
+      if (!holds) {
+        continue;
+      }
+      for (const ReplicaLocation& loc : f.replicas) {
+        if (loc.disk != target) {
+          return loc.disk;
+        }
+      }
+    }
+  }
+  ADD_FAILURE() << "no rebuild source";
+  return 0;
+}
+
+TEST(MirrorOpStream, DigestsMatchRecordedStreams) {
+  std::vector<std::vector<uint64_t>> got;
+
+  {  // (a) Rebuild under traffic with transient and latent faults on both
+     // its source and its target.
+    TraceCollector collector;
+    auto array = MakeMirrorArray(&collector, 2, 0, SimDuration(0));
+    FaultInjector& injector = *array->fault_injector();
+    ASSERT_TRUE(array->backend().FailDisk(SlotId(1)));
+    int done = 0;
+    SubmitMirrorMix(array.get(), 120, 301, 0.2, &done);
+    PumpArray(array.get(), [&] { return done == 120; });
+    const uint32_t source = FirstRebuildSource(array.get(), 1);
+    for (const uint64_t lba : {0ull, 40ull, 700ull, 1500ull, 3000ull}) {
+      for (const ArrayFragment& f : array->layout().Map(lba, 1)) {
+        for (const ReplicaLocation& loc : f.replicas) {
+          if (loc.disk == source || loc.disk == 1) {
+            injector.InjectLatentError(loc.disk, loc.lba);
+          }
+        }
+      }
+    }
+    injector.InjectTransientErrors(source, 2);
+    injector.InjectTransientErrors(1, 3);
+    bool rebuilt = false;
+    array->backend().Rebuild(SlotId(1), [&](const IoResult& r) {
+      EXPECT_EQ(r.status, IoStatus::kOk);
+      rebuilt = true;
+    });
+    SubmitMirrorMix(array.get(), 80, 302, 0.2, &done);
+    PumpArray(array.get(), [&] { return done == 200 && rebuilt; });
+    DrainMirror(array.get());
+    EXPECT_FALSE(array->backend().IsFailed(SlotId(1)));
+    EXPECT_GT(array->backend().fault_stats().retries_issued, 0u);
+    EXPECT_GT(array->backend().fault_stats().failovers, 0u);
+    got.push_back(MirrorDigests(array.get(), collector));
+  }
+  {  // (b) Idle scrub over planted latent errors, repaired by rewrite.
+    TraceCollector collector;
+    auto array = MakeMirrorArray(&collector, 2, 0, SimDuration(5'000));
+    for (const uint64_t lba : {5ull, 333ull, 1200ull, 2600ull}) {
+      const ArrayFragment f = array->layout().Map(lba, 1).front();
+      array->fault_injector()->InjectLatentError(f.replicas.back().disk,
+                                                 f.replicas.back().lba);
+    }
+    int done = 0;
+    SubmitMirrorMix(array.get(), 40, 303, 0.2, &done);
+    PumpArray(array.get(), [&] { return done == 40; });
+    array->sim().RunUntil(array->sim().Now() + SimDuration(6'000'000));
+    DrainMirror(array.get());
+    EXPECT_GE(array->backend().fault_stats().scrub_sweeps_completed, 1u);
+    EXPECT_GT(array->backend().fault_stats().scrub_repairs, 0u);
+    got.push_back(MirrorDigests(array.get(), collector));
+  }
+  {  // (c) Recalibration reference reads under traffic.
+    TraceCollector collector;
+    MimdRaidOptions options;
+    options.backend = ArrayBackendKind::kMirror;
+    options.aspect.ds = 1;
+    options.aspect.dr = 2;
+    options.aspect.dm = 2;
+    options.dataset_sectors = 4000;
+    options.stripe_unit_sectors = 16;
+    options.geometry = MakeTestGeometry();
+    options.profile = MakeTestSeekProfile();
+    options.seed = 13;
+    options.use_oracle_predictor = false;
+    options.calibration.seek.num_distances = 10;
+    options.recalibration_interval_us = SimDuration(40'000);
+    options.collector = &collector;
+    MimdRaid array(options);
+    int done = 0;
+    SubmitMirrorMix(&array, 200, 304, 0.2, &done);
+    PumpArray(&array, [&] { return done == 200; });
+    array.sim().RunUntil(array.sim().Now() + SimDuration(200'000));
+    EXPECT_GT(array.controller().stats().recalibration_reads, 0u);
+    got.push_back(MirrorDigests(&array, collector));
+  }
+  {  // (d) A fail-stop detected while a rebuild read and scrub reads sit in
+     // the failed slot's delayed queue, then spare promotion and a second
+     // rebuild running beside the first.
+    TraceCollector collector;
+    auto array = MakeMirrorArray(&collector, 3, 1, SimDuration(20'000));
+    ASSERT_TRUE(array->backend().FailDisk(SlotId(2)));
+    const uint32_t source = FirstRebuildSource(array.get(), 2);
+    array->sim().RunUntil(SimTime(20'000));  // the first scrub tick fires
+    bool rebuilt = false;
+    array->backend().Rebuild(SlotId(2), [&](const IoResult& r) {
+      EXPECT_EQ(r.status, IoStatus::kOk);
+      rebuilt = true;
+    });
+    int done = 0;
+    SubmitMirrorMix(array.get(), 30, 305, 0.0, &done);
+    array->fault_injector()->FailStop(source);
+    SubmitMirrorMix(array.get(), 150, 306, 0.2, &done);
+    PumpArray(array.get(), [&] { return done == 180 && rebuilt; });
+    DrainMirror(array.get());
+    EXPECT_EQ(array->backend().fault_stats().auto_disk_failures, 1u);
+    EXPECT_EQ(array->backend().fault_stats().spares_promoted, 1u);
+    EXPECT_EQ(array->backend().fault_stats().spare_rebuilds_completed, 1u);
+    EXPECT_FALSE(array->backend().IsFailed(SlotId(source)));
+    EXPECT_FALSE(array->backend().IsFailed(SlotId(2)));
+    got.push_back(MirrorDigests(array.get(), collector));
+  }
+
+  const std::vector<std::vector<uint64_t>> want = {
+      {0x436ddcecf8892320ull, 0xc359db9a9731744full, 0x6c9f21a12b67416eull,
+       0x53e7528b1c7879ebull, 0x1c5b122d459b54d4ull},
+      {0x4f3d8d9c6ef016c1ull, 0xedc079d97fcca66full, 0x8e6ef33b1f4fe1beull,
+       0x25dd264b0a34e411ull, 0x5652c09ef6411f13ull},
+      {0xc34f9c0d92448304ull, 0x4100e659a2310fdcull, 0x238cbb52d36e674dull,
+       0x1c370bf48eb43a5aull, 0x7ea529afa79b0442ull},
+      {0x0069057a19f06a32ull, 0x2b24fdf0b86002d5ull, 0xc3b2381b9085e247ull,
+       0xb5ded72858d5e650ull, 0x7cd29de59b5fdfb9ull, 0x5b4766b3b23383ecull,
+       0x023503e1926e4ee4ull},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  const char* const names[] = {"faulted rebuild", "idle scrub",
+                               "recalibration", "fail-stop drain"};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << names[i] << " got {"
+                               << FormatMirrorDigests(got[i]) << "}";
+  }
+}
+
+TEST(ArrayRecovery, RecalibrationSkipsFailedSlot) {
+  // A failed slot has no head to recalibrate: its reference reads must not
+  // pile up in its queue (where they would keep the array from ever going
+  // idle) while the live slots keep recalibrating.
+  MimdRaidOptions options = MirrorOptions(nullptr, 2, 0, SimDuration(0));
+  options.use_oracle_predictor = false;
+  options.calibration.seek.num_distances = 10;
+  options.recalibration_interval_us = SimDuration(40'000);
+  MimdRaid array(options);
+  ASSERT_TRUE(array.backend().FailDisk(SlotId(1)));
+  array.sim().RunUntil(array.sim().Now() + SimDuration(400'000));
+  EXPECT_EQ(array.controller().QueueDepth(1), 0u);
+  EXPECT_GT(array.controller().stats().recalibration_reads, 0u);
+}
+
+TEST(ArrayRecovery, ForcedOutRebuildCopySurvivesSourceFailure) {
+  // With a zero-entry NVRAM table every write completion forces all delayed
+  // work into the foreground queues, the rebuild's source read included.
+  // When that source then fail-stops, the drained read must restart the
+  // copy from another replica rather than vanish with the queue.
+  MimdRaidOptions options = MirrorOptions(nullptr, 3, 0, SimDuration(0));
+  options.delayed_table_limit = 0;
+  MimdRaid array(options);
+  ASSERT_TRUE(array.backend().FailDisk(SlotId(2)));
+  const uint32_t source = FirstRebuildSource(&array, 2);
+  int done = 0;
+  SubmitMirrorMix(&array, 40, 307, 0.0, &done);
+  bool rebuilt = false;
+  array.backend().Rebuild(SlotId(2), [&](const IoResult& r) {
+    EXPECT_EQ(r.status, IoStatus::kOk);
+    rebuilt = true;
+  });
+  SubmitMirrorMix(&array, 40, 308, 0.0, &done);
+  array.fault_injector()->FailStop(source);
+  SubmitMirrorMix(&array, 60, 309, 0.2, &done);
+  PumpArray(&array, [&] { return done == 140; });
+  DrainMirror(&array);
+  EXPECT_TRUE(rebuilt);
+  EXPECT_FALSE(array.backend().RebuildInProgress());
+  EXPECT_TRUE(array.backend().IsFailed(SlotId(source)));
+  EXPECT_GT(array.controller().stats().delayed_writes_forced, 0u);
 }
 
 // ---------------------------------------------------------------------------
