@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator:
-// LBA mapping, access planning, replica placement, scheduler picks (SATF and
-// RSATF over positions resolved at enqueue), a DriveSet command round trip,
-// the controller's read-after-write barrier, and the GF(2^8) erasure codec.
+// LBA mapping, access planning, replica placement, array mapping, scheduler
+// picks (SATF and RSATF over positions resolved at enqueue), a DriveSet
+// command round trip, a mirror request round trip, the controller's
+// read-after-write barrier, and the GF(2^8) erasure codec.
 // These bound the cost of simulated I/O, of position-sensitive scheduling (a
 // SATF-class dispatch is O(queue x replicas) Plan() calls), of a write
 // completion's wake of parked reads, and of byte-level coding per stripe.
@@ -327,6 +328,90 @@ void BM_ParkedReadWake(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParkedReadWake)->Arg(16)->Arg(256)->Arg(2048)->Complexity();
+
+// The ST39133-model drives of a 36x1x1 stripe, one DiskLayout each, as an
+// array constructs them (so Map walks 36 separate placement tables).
+struct StripeFleet {
+  StripeFleet() {
+    for (int i = 0; i < 36; ++i) {
+      disks.push_back(std::make_unique<SimDisk>(
+          &sim, F().geometry, F().profile, DiskNoiseModel::None(), i + 1,
+          i * 167.0));
+      predictors.push_back(
+          std::make_unique<OraclePredictor>(disks.back().get(), 0.0));
+      layouts.push_back(&disks.back()->layout());
+      dptr.push_back(disks.back().get());
+      pptr.push_back(predictors.back().get());
+    }
+    ArrayAspect aspect;
+    aspect.ds = 36;
+    layout = std::make_unique<ArrayLayout>(layouts, aspect, kUnit, kDataset);
+  }
+  static constexpr uint32_t kUnit = 16;
+  static constexpr uint64_t kDataset = 36ull * 1'000'000;
+  Simulator sim;
+  std::vector<std::unique_ptr<SimDisk>> disks;
+  std::vector<std::unique_ptr<AccessPredictor>> predictors;
+  std::vector<const DiskLayout*> layouts;
+  std::vector<SimDisk*> dptr;
+  std::vector<AccessPredictor*> pptr;
+  std::unique_ptr<ArrayLayout> layout;
+};
+
+// Logical-to-physical mapping of one 8 KB request on the 36x1x1 stripe into
+// a reused fragment buffer: a placement lookup and one replica placement per
+// fragment, no allocation.
+void BM_ArrayLayoutMap(benchmark::State& state) {
+  StripeFleet fleet;
+  MappedFragments out;
+  Rng rng(31);
+  for (auto _ : state) {
+    const uint64_t lba = rng.UniformU64(StripeFleet::kDataset - 16);
+    fleet.layout->Map(lba, 16, &out);
+    benchmark::DoNotOptimize(out.replicas.data());
+  }
+}
+BENCHMARK(BM_ArrayLayoutMap);
+
+// One mirror request round trip on the 36x1x1 stripe: Submit (map, op and
+// fragment records, write barrier), SATF dispatch, the simulated access, and
+// completion, with 64 requests (30% writes, 8 sectors) kept outstanding. One
+// iteration runs the simulation until one more request completes.
+void BM_MirrorSubmitComplete(benchmark::State& state) {
+  StripeFleet fleet;
+  ArrayControllerOptions copts;
+  copts.scheduler = SchedulerKind::kSatf;
+  copts.max_scan = 128;
+  ArrayController controller(&fleet.sim, fleet.dptr, fleet.pptr,
+                             fleet.layout.get(), copts);
+  Rng rng(37);
+  uint64_t completed = 0;
+  bool issuing = true;
+  std::function<void()> issue = [&] {
+    const uint64_t lba = rng.UniformU64(StripeFleet::kDataset / 8) * 8;
+    const DiskOp op = rng.Bernoulli(0.3) ? DiskOp::kWrite : DiskOp::kRead;
+    controller.Submit(op, lba, 8, [&](const IoResult& /*r*/) {
+      ++completed;
+      if (issuing) {
+        issue();
+      }
+    });
+  };
+  for (int i = 0; i < 64; ++i) {
+    issue();
+  }
+  for (auto _ : state) {
+    const uint64_t target = completed + 1;
+    while (completed < target) {
+      fleet.sim.Step();
+    }
+    benchmark::DoNotOptimize(completed);
+  }
+  issuing = false;
+  while (!controller.Idle() && fleet.sim.Step()) {
+  }
+}
+BENCHMARK(BM_MirrorSubmitComplete);
 
 // Virtual-array grant/release round trip on a mixed two-generation fleet of
 // N drives under the most-free policy (the sorting policy: O(N log N) per

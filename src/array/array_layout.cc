@@ -130,14 +130,16 @@ void ArrayLayout::LocateUnit(uint64_t unit_index, uint32_t* group,
   *row = unit_row_[unit_index];
 }
 
-std::vector<ArrayFragment> ArrayLayout::Map(uint64_t lba,
-                                            uint32_t sectors) const {
+void ArrayLayout::Map(uint64_t lba, uint32_t sectors,
+                      MappedFragments* out) const {
   MIMDRAID_CHECK_GT(sectors, 0u);
   MIMDRAID_CHECK_LE(lba + sectors, dataset_sectors_);
-  std::vector<ArrayFragment> out;
   const uint32_t unit = stripe_unit_sectors_;
   const int dr = aspect_.dr;
   const int dm = aspect_.dm;
+  out->fragments.clear();
+  out->replicas.clear();
+  out->copies = static_cast<uint32_t>(dm * dr);
 
   uint64_t cur = lba;
   uint32_t remaining = sectors;
@@ -149,40 +151,47 @@ std::vector<ArrayFragment> ArrayLayout::Map(uint64_t lba,
     LocateUnit(stripe_index, &group, &row);
     const uint64_t disk_sector = row * unit + offset_in_unit;
 
-    // Clip to the stripe unit and to the track-group run of every mirror in
-    // the column (mirrors of different generations may break groups at
-    // different logical sectors).
+    // Clip to the stripe unit, to the track-group run of every mirror in the
+    // column (mirrors of different generations may break groups at different
+    // logical sectors), and to the end of every copy's track: a rotated copy
+    // must stay LBA-contiguous, so it ends where its slot range would wrap.
     uint32_t len = std::min(remaining, unit - offset_in_unit);
-    for (int m = 0; m < dm; ++m) {
-      len = std::min(len, placement_for(DiskFor(group, m))
-                              .ContiguousRun(disk_sector));
-    }
-
-    ArrayFragment frag;
-    frag.group = group;
-    frag.replicas.reserve(static_cast<size_t>(dm) * dr);
+    const SrDiskPlacement* located = nullptr;
+    SrDiskPlacement::Location loc;
     for (int m = 0; m < dm; ++m) {
       const double base_angle =
           static_cast<double>(m) / static_cast<double>(dm * dr);
       const uint32_t disk = DiskFor(group, static_cast<uint32_t>(m));
       const SrDiskPlacement& placement = placement_for(disk);
-      const DiskLayout& dl = placement.layout();
+      if (&placement != located) {
+        located = &placement;
+        loc = placement.Locate(disk_sector);
+      }
+      len = std::min(len, loc.run());
       for (int r = 0; r < dr; ++r) {
-        const uint64_t phys = placement.PhysicalLba(disk_sector, r, base_angle);
-        frag.replicas.push_back(ReplicaLocation{disk, phys});
-        // A rotated copy must stay LBA-contiguous: clip at the point where
-        // its slot range would wrap past the end of the track.
-        const Chs chs = dl.ToChs(phys);
-        const uint32_t spt = dl.geometry().SectorsPerTrack(chs.cylinder);
-        len = std::min(len, spt - chs.sector);
+        const SrDiskPlacement::Replica replica =
+            placement.Place(loc, r, base_angle);
+        out->replicas.push_back(ReplicaLocation{disk, replica.lba});
+        len = std::min(len, loc.spt - replica.track_sector);
       }
     }
-    frag.logical_lba = cur;
-    frag.sectors = len;
-    out.push_back(std::move(frag));
-
+    out->fragments.push_back(MappedFragments::Fragment{cur, len, group});
     cur += len;
     remaining -= len;
+  }
+}
+
+std::vector<ArrayFragment> ArrayLayout::Map(uint64_t lba,
+                                            uint32_t sectors) const {
+  MappedFragments mapped;
+  Map(lba, sectors, &mapped);
+  std::vector<ArrayFragment> out(mapped.size());
+  for (size_t i = 0; i < mapped.size(); ++i) {
+    out[i].logical_lba = mapped.fragments[i].logical_lba;
+    out[i].sectors = mapped.fragments[i].sectors;
+    out[i].group = mapped.fragments[i].group;
+    const std::span<const ReplicaLocation> copies = mapped.ReplicasOf(i);
+    out[i].replicas.assign(copies.begin(), copies.end());
   }
   return out;
 }

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/array/placement.h"
@@ -53,6 +54,26 @@ struct ArrayFragment {
   // All Dm*Dr copies, ordered mirror-major: replicas[m*Dr + r]. Every copy is
   // physically contiguous for `sectors` sectors.
   std::vector<ReplicaLocation> replicas;
+};
+
+// Map's reusable output: the fragments of one logical request, with every
+// fragment's Dm*Dr copies in one flat array, mirror-major like
+// ArrayFragment::replicas. A caller that keeps one of these across requests
+// maps without allocating once the vectors have grown to its largest request.
+struct MappedFragments {
+  struct Fragment {
+    uint64_t logical_lba = 0;
+    uint32_t sectors = 0;
+    uint32_t group = 0;  // stripe column
+  };
+  std::vector<Fragment> fragments;
+  std::vector<ReplicaLocation> replicas;  // `copies` per fragment
+  uint32_t copies = 0;
+
+  size_t size() const { return fragments.size(); }
+  std::span<const ReplicaLocation> ReplicasOf(size_t i) const {
+    return {replicas.data() + i * copies, copies};
+  }
 };
 
 class ArrayLayout {
@@ -105,7 +126,10 @@ class ArrayLayout {
     return group * static_cast<uint32_t>(aspect_.dm) + mirror;
   }
 
-  // Splits a logical request into fragments with full replica sets.
+  // Splits a logical request into fragments with full replica sets,
+  // replacing `out`'s contents.
+  void Map(uint64_t lba, uint32_t sectors, MappedFragments* out) const;
+  // The same, returned as self-contained fragments.
   std::vector<ArrayFragment> Map(uint64_t lba, uint32_t sectors) const;
 
   // Highest cylinder used on any disk (the seek span workloads experience).

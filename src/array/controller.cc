@@ -67,6 +67,21 @@ ArrayController::~ArrayController() {
   StopScrub();
 }
 
+void ArrayController::FragState::Reset() {
+  op_handle = 0;
+  logical_lba = 0;
+  sectors = 0;
+  op = DiskOp::kRead;
+  replicas.clear();
+  entries_remaining = 0;
+  queued.clear();
+  attempts = 0;
+  bad_replicas.clear();
+  successes = 0;
+  status = IoStatus::kOk;
+  next_inflight = 0;
+}
+
 void ArrayController::AuditQuiescent() const {
   if (auditor_ == nullptr) {
     return;
@@ -115,34 +130,55 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
     collector_->OnRequestArrival(op_id, op == DiskOp::kWrite, lba, sectors,
                                  issue_us);
   }
-  std::vector<ArrayFragment> fragments = layout_->Map(lba, sectors);
+  // The scratch buffers are taken, not borrowed: a fragment that completes
+  // at once (no live disk) runs a callback that may submit again, and that
+  // nested call must not write into the buffers this one is reading.
+  MappedFragments mapped = std::move(map_scratch_);
+  layout_->Map(lba, sectors, &mapped);
   if (auditor_ != nullptr) {
-    AuditMappedFragments(lba, sectors, fragments);
+    AuditMappedFragments(lba, sectors, mapped);
   }
-  OpState& opstate = ops_[op_id];
+  const uint64_t op_handle = ops_.Acquire();
+  OpState& opstate = ops_[op_handle];
+  opstate.op_id = op_id;
   opstate.op = op;
-  opstate.fragments_remaining = static_cast<uint32_t>(fragments.size());
+  opstate.fragments_remaining = static_cast<uint32_t>(mapped.size());
   opstate.done = std::move(done);
   opstate.issue_us = issue_us;
+  opstate.status = IoStatus::kOk;
+  opstate.recovery_attempts = 0;
 
-  if (op == DiskOp::kWrite) {
-    MarkInflightWrite(lba, sectors, +1);
-  }
-
-  for (ArrayFragment& f : fragments) {
-    const uint64_t frag_key = next_frag_key_++;
+  // Every fragment is recorded, and a write's whole range barred, before any
+  // fragment is submitted: a fragment completing at once runs the caller's
+  // callback, which must see the rest of the write still in flight.
+  std::vector<uint64_t> frag_keys = std::move(frag_scratch_);
+  frag_keys.clear();
+  for (size_t i = 0; i < mapped.size(); ++i) {
+    const uint64_t frag_key = frags_.Acquire();
     FragState& frag = frags_[frag_key];
-    frag.op_id = op_id;
-    frag.logical_lba = f.logical_lba;
-    frag.sectors = f.sectors;
+    frag.Reset();
+    frag.op_handle = op_handle;
+    frag.logical_lba = mapped.fragments[i].logical_lba;
+    frag.sectors = mapped.fragments[i].sectors;
     frag.op = op;
-    frag.replicas = std::move(f.replicas);
+    const std::span<const ReplicaLocation> copies = mapped.ReplicasOf(i);
+    frag.replicas.assign(copies.begin(), copies.end());
+    if (op == DiskOp::kWrite) {
+      AddInflightWrite(frag_key, frag);
+    }
+    frag_keys.push_back(frag_key);
+  }
+  map_scratch_ = std::move(mapped);
+
+  for (const uint64_t frag_key : frag_keys) {
+    FragState& frag = frags_[frag_key];
     if (op == DiskOp::kRead) {
       SubmitReadFragment(frag, frag_key);
     } else {
       SubmitWriteFragment(frag, frag_key);
     }
   }
+  frag_scratch_ = std::move(frag_keys);
 }
 
 bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
@@ -154,17 +190,17 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
   // partially stale even though every *sector* has a clean copy somewhere.
   // Shrink the fragment to the longest prefix some replica covers cleanly and
   // resubmit the tail as its own fragment.
-  uint32_t best_prefix = 0;
+  uint32_t best_prefix = stale_sectors_.empty() ? frag.sectors : 0;
   for (const ReplicaLocation& loc : frag.replicas) {
+    if (best_prefix == frag.sectors) {
+      break;
+    }
     uint32_t clean = 0;
     while (clean < frag.sectors &&
            !stale_sectors_.contains(ReplicaKey(loc.disk, loc.lba + clean))) {
       ++clean;
     }
     best_prefix = std::max(best_prefix, clean);
-    if (best_prefix == frag.sectors) {
-      break;
-    }
   }
   // Partially overlapping unaligned writes can (rarely) leave every replica
   // of a sector carrying a stale marker even though the newest data has in
@@ -177,9 +213,10 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     best_prefix = frag.sectors;
   }
   if (best_prefix < frag.sectors) {
-    const uint64_t tail_key = next_frag_key_++;
+    const uint64_t tail_key = frags_.Acquire();
     FragState& tail = frags_[tail_key];
-    tail.op_id = frag.op_id;
+    tail.Reset();
+    tail.op_handle = frag.op_handle;
     tail.logical_lba = frag.logical_lba + best_prefix;
     tail.sectors = frag.sectors - best_prefix;
     tail.op = frag.op;
@@ -192,27 +229,23 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     for (ReplicaLocation& loc : tail.bad_replicas) {
       loc.lba += best_prefix;
     }
-    ++ops_[frag.op_id].fragments_remaining;
-    // `frag` may have been invalidated by the map insertion above.
-    FragState& head = frags_[frag_key];
-    head.sectors = best_prefix;
-    const bool head_ok = SubmitReadFragment(head, frag_key);
+    ++ops_[frag.op_handle].fragments_remaining;
+    frag.sectors = best_prefix;
+    const bool head_ok = SubmitReadFragment(frag, frag_key);
     const bool tail_ok = SubmitReadFragment(frags_[tail_key], tail_key);
     return head_ok && tail_ok;
   }
 
   // Per-disk candidate sets, stale replicas excluded.
-  struct DiskCandidates {
-    uint32_t disk;
-    std::vector<BlockAddr> lbas;
-  };
-  std::vector<DiskCandidates> candidates;
+  cand_sets_.clear();
+  cand_lbas_.clear();
   for (int m = 0; m < dm; ++m) {
-    DiskCandidates dc;
-    dc.disk = frag.replicas[static_cast<size_t>(m) * dr].disk;
-    if (drives_->failed(SlotId(dc.disk))) {
+    CandidateSet set;
+    set.disk = frag.replicas[static_cast<size_t>(m) * dr].disk;
+    if (drives_->failed(SlotId(set.disk))) {
       continue;
     }
+    set.begin = static_cast<uint32_t>(cand_lbas_.size());
     for (int r = 0; r < dr; ++r) {
       const ReplicaLocation& loc = frag.replicas[static_cast<size_t>(m) * dr + r];
       bool known_bad = false;
@@ -226,14 +259,15 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
         continue;
       }
       if (ignore_stale || !ReplicaIsStale(loc.disk, loc.lba, frag.sectors)) {
-        dc.lbas.push_back(BlockAddr(loc.lba));
+        cand_lbas_.push_back(BlockAddr(loc.lba));
       }
     }
-    if (!dc.lbas.empty()) {
-      candidates.push_back(std::move(dc));
+    set.end = static_cast<uint32_t>(cand_lbas_.size());
+    if (set.end > set.begin) {
+      cand_sets_.push_back(set);
     }
   }
-  if (candidates.empty()) {
+  if (cand_sets_.empty()) {
     // Every replica is on a failed disk or known bad: redundancy exhausted.
     CompleteFragmentUnrecoverable(frag_key, frag);
     return false;
@@ -242,50 +276,53 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
   // Mirror heuristic (Section 3.3): if a holding disk is idle, send the
   // request to the idle head closest to a copy; otherwise duplicate the
   // request into every holder's queue and cancel the losers on dispatch.
-  std::vector<const DiskCandidates*> targets;
-  if (candidates.size() > 1) {
-    const DiskCandidates* best_idle = nullptr;
+  // The targets are cand_sets_[first_target, end_target).
+  size_t first_target = 0;
+  size_t end_target = cand_sets_.size();
+  if (cand_sets_.size() > 1) {
+    size_t best_idle = cand_sets_.size();
     double best_cost = std::numeric_limits<double>::infinity();
-    for (const DiskCandidates& dc : candidates) {
-      if (drives_->disk(SlotId(dc.disk))->busy() || !drives_->fg(SlotId(dc.disk)).empty()) {
+    for (size_t i = 0; i < cand_sets_.size(); ++i) {
+      const CandidateSet& set = cand_sets_[i];
+      if (drives_->disk(SlotId(set.disk))->busy() ||
+          !drives_->fg(SlotId(set.disk)).empty()) {
         continue;
       }
-      for (BlockAddr cand : dc.lbas) {
-        const AccessPlan plan = drives_->predictor(SlotId(dc.disk))->Predict(
-            sim_->Now(), cand, frag.sectors, /*is_write=*/false);
-        const double cost = drives_->predictor(SlotId(dc.disk))->EffectiveServiceUs(plan);
+      for (uint32_t c = set.begin; c < set.end; ++c) {
+        const AccessPlan plan = drives_->predictor(SlotId(set.disk))->Predict(
+            sim_->Now(), cand_lbas_[c], frag.sectors, /*is_write=*/false);
+        const double cost =
+            drives_->predictor(SlotId(set.disk))->EffectiveServiceUs(plan);
         if (cost < best_cost) {
           best_cost = cost;
-          best_idle = &dc;
+          best_idle = i;
         }
       }
     }
-    if (best_idle != nullptr) {
-      targets.push_back(best_idle);
-    } else {
-      for (const DiskCandidates& dc : candidates) {
-        targets.push_back(&dc);
-      }
+    if (best_idle < cand_sets_.size()) {
+      first_target = best_idle;
+      end_target = best_idle + 1;
     }
-  } else {
-    targets.push_back(&candidates.front());
   }
 
-  for (const DiskCandidates* dc : targets) {
+  for (size_t i = first_target; i < end_target; ++i) {
+    const CandidateSet& set = cand_sets_[i];
     QueuedRequest entry;
     entry.id = drives_->AllocEntryId();
     entry.op = DiskOp::kRead;
     entry.sectors = frag.sectors;
-    entry.candidates.assign(dc->lbas.begin(), dc->lbas.end());
+    entry.candidates.assign(cand_lbas_.begin() + set.begin,
+                            cand_lbas_.begin() + set.end);
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
-    frag.queued.emplace_back(dc->disk, entry.id);
-    drives_->EnqueueFg(SlotId(dc->disk), std::move(entry));
+    frag.queued.emplace_back(set.disk, entry.id);
+    drives_->EnqueueFg(SlotId(set.disk), std::move(entry));
   }
   // Dispatch after all duplicates are queued so cancellation state is
-  // complete before the first pick.
-  for (const DiskCandidates* dc : targets) {
-    drives_->MaybeDispatch(SlotId(dc->disk));
+  // complete before the first pick. Dispatch only picks and starts accesses
+  // (completions arrive as later events), so the scratch sets stay intact.
+  for (size_t i = first_target; i < end_target; ++i) {
+    drives_->MaybeDispatch(SlotId(cand_sets_[i].disk));
   }
   return true;
 }
@@ -294,6 +331,9 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
   const int dr = layout_->aspect().dr;
   const int dm = layout_->aspect().dm;
 
+  // Both modes queue every entry before dispatching any, and dispatch walks
+  // the same live disks again: dispatch starts accesses but completes none,
+  // so no slot can fail in between.
   if (options_.foreground_write_propagation) {
     // Every copy is written synchronously: one single-candidate entry per
     // replica; the fragment completes when all land.
@@ -309,7 +349,6 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
       return false;
     }
     frag.entries_remaining = live;
-    std::vector<uint32_t> touched;
     for (const ReplicaLocation& loc : frag.replicas) {
       if (drives_->failed(SlotId(loc.disk))) {
         continue;
@@ -322,10 +361,11 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
       entry.arrival_us = sim_->Now();
       entry.tag = frag_key;
       drives_->EnqueueFg(SlotId(loc.disk), std::move(entry));
-      touched.push_back(loc.disk);
     }
-    for (uint32_t d : touched) {
-      drives_->MaybeDispatch(SlotId(d));
+    for (const ReplicaLocation& loc : frag.replicas) {
+      if (!drives_->failed(SlotId(loc.disk))) {
+        drives_->MaybeDispatch(SlotId(loc.disk));
+      }
     }
     return true;
   }
@@ -334,7 +374,7 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
   // mirror disk, any rotational replica); the rest become delayed writes once
   // the winner is known.
   frag.entries_remaining = 1;
-  std::vector<uint32_t> touched;
+  bool queued = false;
   for (int m = 0; m < dm; ++m) {
     const uint32_t disk = frag.replicas[static_cast<size_t>(m) * dr].disk;
     if (drives_->failed(SlotId(disk))) {
@@ -346,35 +386,38 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
     entry.sectors = frag.sectors;
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
+    entry.candidates.reserve(static_cast<size_t>(dr));
     for (int r = 0; r < dr; ++r) {
       entry.candidates.push_back(
           BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba));
     }
     frag.queued.emplace_back(disk, entry.id);
     drives_->EnqueueFg(SlotId(disk), std::move(entry));
-    touched.push_back(disk);
+    queued = true;
   }
-  if (touched.empty()) {
+  if (!queued) {
     CompleteFragmentUnrecoverable(frag_key, frag);
     return false;
   }
-  for (uint32_t d : touched) {
-    drives_->MaybeDispatch(SlotId(d));
+  for (int m = 0; m < dm; ++m) {
+    const uint32_t disk = frag.replicas[static_cast<size_t>(m) * dr].disk;
+    if (!drives_->failed(SlotId(disk))) {
+      drives_->MaybeDispatch(SlotId(disk));
+    }
   }
   return true;
 }
 
 void ArrayController::AuditMappedFragments(
-    uint64_t lba, uint32_t sectors,
-    const std::vector<ArrayFragment>& fragments) const {
+    uint64_t lba, uint32_t sectors, const MappedFragments& fragments) const {
   std::vector<AuditFragment> audit_frags;
   audit_frags.reserve(fragments.size());
-  for (const ArrayFragment& f : fragments) {
+  for (size_t i = 0; i < fragments.size(); ++i) {
     AuditFragment af;
-    af.logical_lba = f.logical_lba;
-    af.sectors = f.sectors;
-    af.replicas.reserve(f.replicas.size());
-    for (const ReplicaLocation& loc : f.replicas) {
+    af.logical_lba = fragments.fragments[i].logical_lba;
+    af.sectors = fragments.fragments[i].sectors;
+    af.replicas.reserve(fragments.copies);
+    for (const ReplicaLocation& loc : fragments.ReplicasOf(i)) {
       af.replicas.push_back(AuditReplicaRef{loc.disk, loc.lba});
     }
     audit_frags.push_back(std::move(af));
@@ -396,9 +439,7 @@ void ArrayController::OnEntryDispatched(SlotId slot,
 
 void ArrayController::CancelSiblings(uint64_t frag_key, uint32_t winner_disk,
                                      uint64_t winner_entry) {
-  auto it = frags_.find(frag_key);
-  MIMDRAID_CHECK(it != frags_.end());
-  FragState& frag = it->second;
+  FragState& frag = frags_[frag_key];
   for (const auto& [disk, entry_id] : frag.queued) {
     if (disk == winner_disk && entry_id == winner_entry) {
       continue;
@@ -450,9 +491,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
     return;
   }
 
-  auto it = frags_.find(entry.tag);
-  MIMDRAID_CHECK(it != frags_.end());
-  FragState& frag = it->second;
+  FragState& frag = frags_[entry.tag];
   MIMDRAID_CHECK_GT(frag.entries_remaining, 0u);
   if (frag.op == DiskOp::kWrite) {
     ++frag.successes;
@@ -475,7 +514,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
                                        uint64_t chosen_lba,
                                        SimTime completion_us,
                                        const FinalLeg* leg) {
-  const uint64_t op_id = frag.op_id;
+  const uint64_t op_handle = frag.op_handle;
   const DiskOp op = frag.op;
   const IoStatus frag_status = frag.status;
   if (op == DiskOp::kWrite) {
@@ -487,7 +526,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
       // on the just-written sectors (from older, partially overlapping
       // propagations) are cleared.
       CancelPendingDelayed(chosen_disk, chosen_lba);
-      for (uint32_t s = 0; s < frag.sectors; ++s) {
+      for (uint32_t s = 0; s < frag.sectors && !stale_sectors_.empty(); ++s) {
         stale_sectors_.erase(ReplicaKey(chosen_disk, chosen_lba + s));
       }
       for (const ReplicaLocation& loc : frag.replicas) {
@@ -499,7 +538,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
       }
       EnforceDelayedTableLimit();
     }
-    MarkInflightWrite(frag.logical_lba, frag.sectors, -1);
+    RemoveInflightWrite(frag_key, frag);
   }
   if (op == DiskOp::kRead && frag_status == IoStatus::kOk &&
       !frag.bad_replicas.empty()) {
@@ -516,11 +555,9 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
     EnforceDelayedTableLimit();
   }
 
-  frags_.erase(frag_key);
+  frags_.Release(frag_key);
 
-  auto oit = ops_.find(op_id);
-  MIMDRAID_CHECK(oit != ops_.end());
-  OpState& opstate = oit->second;
+  OpState& opstate = ops_[op_handle];
   opstate.status = Worse(opstate.status, frag_status);
   MIMDRAID_CHECK_GT(opstate.fragments_remaining, 0u);
   if (--opstate.fragments_remaining == 0) {
@@ -538,11 +575,11 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
     io.completion_us = completion_us;
     io.recovery_attempts = opstate.recovery_attempts;
     if (collector_ != nullptr) {
-      collector_->OnRequestComplete(op_id, io.status, io.completion_us,
+      collector_->OnRequestComplete(opstate.op_id, io.status, io.completion_us,
                                     io.recovery_attempts, leg);
     }
     DoneFn done = std::move(opstate.done);
-    ops_.erase(oit);
+    ops_.Release(op_handle);
     if (done) {
       done(io);
     }
@@ -561,10 +598,9 @@ void ArrayController::CompleteFragmentUnrecoverable(uint64_t frag_key,
 
 // --- Fault recovery -------------------------------------------------------
 
-void ArrayController::NoteOpRecoveryAttempt(uint64_t op_id) {
-  auto it = ops_.find(op_id);
-  if (it != ops_.end()) {
-    ++it->second.recovery_attempts;
+void ArrayController::NoteOpRecoveryAttempt(uint64_t op_handle) {
+  if (OpState* op = ops_.Find(op_handle)) {
+    ++op->recovery_attempts;
   }
 }
 
@@ -585,10 +621,8 @@ void ArrayController::HandleReadFailure(uint32_t disk,
                                         const QueuedRequest& entry,
                                         uint64_t chosen_lba,
                                         const DiskOpResult& result) {
-  auto it = frags_.find(entry.tag);
-  MIMDRAID_CHECK(it != frags_.end());
-  FragState& frag = it->second;
-  NoteOpRecoveryAttempt(frag.op_id);
+  FragState& frag = frags_[entry.tag];
+  NoteOpRecoveryAttempt(frag.op_handle);
 
   // A timeout says nothing about the media; retry in place (bounded, with
   // backoff) before writing the path off.
@@ -599,11 +633,13 @@ void ArrayController::HandleReadFailure(uint32_t disk,
     drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
     const uint64_t frag_key = entry.tag;
     drives_->ScheduleRecovery(frag.attempts, [this, frag_key]() {
-      auto fit = frags_.find(frag_key);
-      if (fit == frags_.end()) {
+      // The handle's generation keeps a fragment that has since completed
+      // (and whose slot may hold another fragment now) from being resent.
+      FragState* retry = frags_.Find(frag_key);
+      if (retry == nullptr) {
         return;
       }
-      SubmitReadFragment(fit->second, frag_key);
+      SubmitReadFragment(*retry, frag_key);
     });
     return;
   }
@@ -639,10 +675,8 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
                                          uint64_t chosen_lba,
                                          const DiskOpResult& result) {
   (void)result;
-  auto it = frags_.find(entry.tag);
-  MIMDRAID_CHECK(it != frags_.end());
-  FragState& frag = it->second;
-  NoteOpRecoveryAttempt(frag.op_id);
+  FragState& frag = frags_[entry.tag];
+  NoteOpRecoveryAttempt(frag.op_handle);
   const uint64_t frag_key = entry.tag;
 
   if (!options_.foreground_write_propagation) {
@@ -664,11 +698,11 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
     ++fstats().retries_issued;
     drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
     drives_->ScheduleRecovery(frag.attempts, [this, frag_key]() {
-      auto fit = frags_.find(frag_key);
-      if (fit == frags_.end()) {
+      FragState* retry = frags_.Find(frag_key);
+      if (retry == nullptr) {
         return;
       }
-      SubmitWriteFragment(fit->second, frag_key);
+      SubmitWriteFragment(*retry, frag_key);
     });
     return;
   }
@@ -704,9 +738,7 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
 }
 
 void ArrayController::LoseWriteReplica(uint64_t frag_key) {
-  auto it = frags_.find(frag_key);
-  MIMDRAID_CHECK(it != frags_.end());
-  FragState& frag = it->second;
+  FragState& frag = frags_[frag_key];
   MIMDRAID_CHECK_GT(frag.entries_remaining, 0u);
   if (--frag.entries_remaining == 0) {
     if (frag.successes == 0) {
@@ -787,9 +819,7 @@ void ArrayController::OnSlotFailed(SlotId slot,
       ++fstats().propagations_abandoned;
       continue;
     }
-    auto fit = frags_.find(e.tag);
-    MIMDRAID_CHECK(fit != frags_.end());
-    FragState& frag = fit->second;
+    FragState& frag = frags_[e.tag];
     for (size_t i = 0; i < frag.queued.size(); ++i) {
       if (frag.queued[i].first == disk && frag.queued[i].second == e.id) {
         frag.queued.erase(frag.queued.begin() + static_cast<ptrdiff_t>(i));
@@ -803,7 +833,7 @@ void ArrayController::OnSlotFailed(SlotId slot,
         continue;
       }
       ++fstats().failovers;
-      NoteOpRecoveryAttempt(frag.op_id);
+      NoteOpRecoveryAttempt(frag.op_handle);
       if (e.op == DiskOp::kRead) {
         SubmitReadFragment(frag, e.tag);
       } else {
@@ -1025,33 +1055,74 @@ std::optional<uint64_t> ArrayController::FirstInflightSector(
   if (inflight_writes_.empty()) {
     return std::nullopt;
   }
-  for (uint32_t s = 0; s < sectors; ++s) {
-    if (inflight_writes_.contains(lba + s)) {
-      return lba + s;
+  const uint64_t unit = layout_->stripe_unit_sectors();
+  const uint64_t end = lba + sectors;
+  // Units in ascending order: every sector of a unit precedes the next
+  // unit's, so the first unit with an overlap holds the first blocked sector.
+  for (uint64_t u = lba / unit; u * unit < end; ++u) {
+    const uint64_t* head = inflight_writes_.Find(u);
+    if (head == nullptr) {
+      continue;
+    }
+    uint64_t first = UINT64_MAX;
+    for (uint64_t key = *head; key != 0;) {
+      const FragState& w = *frags_.Find(key);
+      const uint64_t lo = std::max(w.logical_lba, lba);
+      const uint64_t hi = std::min(w.logical_lba + w.sectors, end);
+      if (lo < hi) {
+        first = std::min(first, lo);
+      }
+      key = w.next_inflight;
+    }
+    if (first != UINT64_MAX) {
+      return first;
     }
   }
   return std::nullopt;
 }
 
-void ArrayController::MarkInflightWrite(uint64_t lba, uint32_t sectors,
-                                        int delta) {
-  for (uint32_t s = 0; s < sectors; ++s) {
-    auto [it, inserted] = inflight_writes_.try_emplace(lba + s, 0);
-    it->second += delta;
-    MIMDRAID_CHECK_GE(it->second, 0);
-    if (it->second == 0) {
-      inflight_writes_.erase(it);
-      if (!waiters_.empty() && waiters_.contains(lba + s)) {
-        wake_sectors_.push_back(lba + s);
-      }
+void ArrayController::AddInflightWrite(uint64_t frag_key, FragState& frag) {
+  uint64_t& head =
+      inflight_writes_[frag.logical_lba / layout_->stripe_unit_sectors()];
+  frag.next_inflight = head;
+  head = frag_key;
+}
+
+void ArrayController::RemoveInflightWrite(uint64_t frag_key,
+                                          FragState& frag) {
+  const uint64_t unit = frag.logical_lba / layout_->stripe_unit_sectors();
+  uint64_t* head = inflight_writes_.Find(unit);
+  MIMDRAID_CHECK(head != nullptr);
+  if (*head == frag_key) {
+    if (frag.next_inflight == 0) {
+      inflight_writes_.Erase(unit);
+    } else {
+      *head = frag.next_inflight;
+    }
+  } else {
+    FragState* prev = &frags_[*head];
+    while (prev->next_inflight != frag_key) {
+      prev = &frags_[prev->next_inflight];
+    }
+    prev->next_inflight = frag.next_inflight;
+  }
+  frag.next_inflight = 0;
+  if (waiters_.empty()) {
+    return;
+  }
+  // Sectors no other in-flight fragment covers have just been released.
+  for (uint32_t s = 0; s < frag.sectors; ++s) {
+    const uint64_t sector = frag.logical_lba + s;
+    if (waiters_.contains(sector) && !FirstInflightSector(sector, 1)) {
+      wake_sectors_.push_back(sector);
     }
   }
 }
 
 // The wake releases exactly the reads a full rescan of parked_ would: every
 // parked read is registered under one blocking sector, and a read can only
-// become unblocked when that sector's count drops to zero, which queues the
-// sector here. Sectors are visited at wake time, after the completion
+// become unblocked when the last write fragment covering that sector leaves
+// the index, which queues the sector here. Sectors are visited at wake time, after the completion
 // callback, so a write that callback submitted re-blocks its readers just as
 // it would have under a rescan.
 void ArrayController::WakeParked() {
@@ -1060,7 +1131,7 @@ void ArrayController::WakeParked() {
   }
   std::vector<uint64_t> ready;
   for (uint64_t sector : wake_sectors_) {
-    if (inflight_writes_.contains(sector)) {
+    if (FirstInflightSector(sector, 1)) {
       continue;  // re-blocked; its waiters stay registered
     }
     auto wit = waiters_.find(sector);

@@ -40,6 +40,8 @@
 #include "src/sim/io_status.h"
 #include "src/sim/simulator.h"
 #include "src/stats/fault_stats.h"
+#include "src/util/flat_map.h"
+#include "src/util/handle_slab.h"
 
 namespace mimdraid {
 
@@ -215,8 +217,14 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   }
 
  private:
+  // Test access to the fragment slab (tests/fault_injection_test.cc).
+  friend class ArrayControllerTestPeer;
+
+  // One fragment of a logical op, from Map until its completion. Held in
+  // frags_ and named by a slab handle (QueuedRequest::tag, retry closures);
+  // a recycled slot keeps its vectors' capacity.
   struct FragState {
-    uint64_t op_id = 0;
+    uint64_t op_handle = 0;  // the owning OpState in ops_
     uint64_t logical_lba = 0;
     uint32_t sectors = 0;
     DiskOp op = DiskOp::kRead;
@@ -233,9 +241,16 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
     // Replicas that landed (foreground propagation mode only).
     uint32_t successes = 0;
     IoStatus status = IoStatus::kOk;  // worst unabsorbed status
+    // Next in-flight write fragment of the same stripe unit (the barrier
+    // index's chain; 0 ends it).
+    uint64_t next_inflight = 0;
+
+    // Back to the freshly-mapped state, keeping vector capacity.
+    void Reset();
   };
 
   struct OpState {
+    uint64_t op_id = 0;  // the collector's request id
     DiskOp op = DiskOp::kRead;
     uint32_t fragments_remaining = 0;
     DoneFn done;
@@ -282,7 +297,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   bool SubmitReadFragment(FragState& frag, uint64_t frag_key);
   bool SubmitWriteFragment(FragState& frag, uint64_t frag_key);
   void AuditMappedFragments(uint64_t lba, uint32_t sectors,
-                            const std::vector<ArrayFragment>& fragments) const;
+                            const MappedFragments& fragments) const;
   // `leg` is the decomposition of the disk op whose completion completed the
   // fragment; nullptr on paths with no such op (unrecoverable completions,
   // lost foreground-propagation replicas).
@@ -298,9 +313,13 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // First logical sector of the range with an in-flight foreground write.
   std::optional<uint64_t> FirstInflightSector(uint64_t lba,
                                               uint32_t sectors) const;
-  void MarkInflightWrite(uint64_t lba, uint32_t sectors, int delta);
-  // Resubmits, in park order, every parked read whose waiter sector dropped
-  // to zero since the last wake and that no other in-flight write blocks.
+  // Enters a write fragment into the barrier index / takes it out again; the
+  // removal queues every sector it unblocks that a parked read waits on.
+  void AddInflightWrite(uint64_t frag_key, FragState& frag);
+  void RemoveInflightWrite(uint64_t frag_key, FragState& frag);
+  // Resubmits, in park order, every parked read whose waiter sector lost its
+  // last covering write fragment since the last wake and that no other
+  // in-flight write blocks.
   void WakeParked();
   // Total registrations in waiters_: one per parked read.
   size_t WaiterEntries() const;
@@ -327,7 +346,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
                           uint64_t chosen_lba, const DiskOpResult& result);
   void HandleDelayedFailure(uint32_t disk, const QueuedRequest& entry,
                             uint64_t chosen_lba, const DiskOpResult& result);
-  void NoteOpRecoveryAttempt(uint64_t op_id);
+  void NoteOpRecoveryAttempt(uint64_t op_handle);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
   // accounts it and completes the fragment when all entries are in.
@@ -347,10 +366,22 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
 
   std::vector<EventId> recalibration_events_;
 
+  // Op ids stay a running counter: the collector reports them.
   uint64_t next_op_id_ = 1;
-  uint64_t next_frag_key_ = 1;
-  std::unordered_map<uint64_t, OpState> ops_;
-  std::unordered_map<uint64_t, FragState> frags_;
+  HandleSlab<OpState> ops_;
+  HandleSlab<FragState> frags_;
+  // Scratch kept across requests so the steady-state Submit path allocates
+  // nothing: Map's output, an op's fragment handles, and a read fragment's
+  // per-disk candidate sets (cand_lbas_[begin, end) for each disk).
+  struct CandidateSet {
+    uint32_t disk = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  MappedFragments map_scratch_;
+  std::vector<uint64_t> frag_scratch_;
+  std::vector<CandidateSet> cand_sets_;
+  std::vector<BlockAddr> cand_lbas_;
 
   // Pending background propagation, keyed by replica location (the NVRAM
   // metadata table). The owning queue entry may live in the delayed queue or,
@@ -358,12 +389,16 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   NvramTable nvram_;
   // Physical sectors whose content is stale until propagation completes.
   std::unordered_set<uint64_t> stale_sectors_;
-  // Logical sectors with an in-flight foreground write (ordering barrier).
-  std::unordered_map<uint64_t, int> inflight_writes_;
+  // In-flight foreground write fragments (the ordering barrier), keyed by
+  // the stripe unit holding the fragment's start LBA; each key heads a chain
+  // through FragState::next_inflight. A fragment never crosses a stripe
+  // unit, so a range's blockers are found in the units it spans.
+  FlatMap<uint64_t> inflight_writes_;
   // Reads parked behind in-flight writes, keyed by park sequence (park
   // order). Each is registered in waiters_ under exactly one blocking
-  // logical sector: one with a non-zero inflight_writes_ count, or one whose
-  // count has dropped to zero and that wake_sectors_ lists for the next wake.
+  // logical sector: one some in-flight write fragment covers, or one that
+  // the last covering fragment released and that wake_sectors_ lists for
+  // the next wake.
   std::map<uint64_t, ParkedRequest> parked_;
   uint64_t next_park_seq_ = 0;
   std::unordered_map<uint64_t, std::vector<uint64_t>> waiters_;

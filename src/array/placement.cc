@@ -14,112 +14,160 @@ SrDiskPlacement::SrDiskPlacement(const DiskLayout* layout, int dr,
   MIMDRAID_CHECK_GE(dr, 1);
   const DiskGeometry& geo = layout->geometry();
   MIMDRAID_CHECK_LE(static_cast<uint32_t>(dr), geo.num_heads);
-  uint64_t logical = 0;
-  for (uint32_t c = 0; c < geo.num_cylinders; ++c) {
-    // Data heads are contiguous within a cylinder (reserved tracks lead,
-    // spare tracks trail).
-    uint32_t first_head = geo.num_heads;
-    uint32_t avail = 0;
-    for (uint32_t h = 0; h < geo.num_heads; ++h) {
-      if (layout->IsDataTrack(c, h)) {
-        if (first_head == geo.num_heads) {
-          first_head = h;
-        }
-        MIMDRAID_CHECK_EQ(first_head + avail, h);  // contiguity invariant
-        ++avail;
+  const uint32_t heads = geo.num_heads;
+  // A zone's data tracks are one contiguous range of global tracks (reserved
+  // tracks lead zone 0, spare tracks trail every zone), so each cylinder's
+  // data heads are contiguous too, and only the range's first and last
+  // cylinders can be partial.
+  for (uint32_t zi = 0; zi < geo.zones.size(); ++zi) {
+    const DiskLayout::TrackRange data = layout->DataTracks(zi);
+    const uint32_t spt = geo.zones[zi].sectors_per_track;
+    const uint32_t end = data.first + data.count;
+    for (uint32_t t = data.first; t < end;) {
+      const uint32_t cylinder = t / heads;
+      const uint32_t head = t % heads;
+      if (head == 0 && end - t >= heads) {
+        const uint32_t full = (end - t) / heads;
+        AddCylinders(zi, cylinder, full, 0, heads, spt);
+        t += full * heads;
+      } else {
+        const uint32_t stop = std::min(end, (cylinder + 1) * heads);
+        AddCylinders(zi, cylinder, 1, head, stop - t, spt);
+        t = stop;
       }
     }
-    const uint32_t spt = geo.SectorsPerTrack(c);
-    uint32_t groups;
-    uint32_t per_group;
-    if (mode_ == PlacementMode::kCrossTrack) {
-      // A group is Dr whole tracks; it stores one track's worth of data.
-      groups = avail / static_cast<uint32_t>(dr_);
-      per_group = spt;
-    } else {
-      // A group is a single track holding SPT/Dr logical sectors, each
-      // replicated Dr times within the track.
-      groups = avail;
-      per_group = spt / static_cast<uint32_t>(dr_);
-    }
-    if (groups == 0 || per_group == 0) {
-      continue;
-    }
-    CylinderEntry e;
-    e.first_logical = logical;
-    e.cylinder = c;
-    e.first_head = first_head;
-    e.groups = groups;
-    e.spt = spt;
-    e.per_group = per_group;
-    table_.push_back(e);
-    logical += static_cast<uint64_t>(groups) * per_group;
   }
-  capacity_sectors_ = logical;
-  MIMDRAID_CHECK(!table_.empty());
+  MIMDRAID_CHECK(!runs_.empty());
+  capacity_sectors_ = runs_.back().first_logical +
+                      runs_.back().per_cylinder * runs_.back().cylinders;
 }
 
-const SrDiskPlacement::CylinderEntry& SrDiskPlacement::EntryFor(
-    uint64_t s) const {
+void SrDiskPlacement::AddCylinders(uint32_t zone, uint32_t cylinder,
+                                   uint32_t cylinders, uint32_t first_head,
+                                   uint32_t avail, uint32_t spt) {
+  uint32_t groups;
+  uint32_t per_group;
+  if (mode_ == PlacementMode::kCrossTrack) {
+    // A group is Dr whole tracks; it stores one track's worth of data.
+    groups = avail / static_cast<uint32_t>(dr_);
+    per_group = spt;
+  } else {
+    // A group is a single track holding SPT/Dr logical sectors, each
+    // replicated Dr times within the track.
+    groups = avail;
+    per_group = spt / static_cast<uint32_t>(dr_);
+  }
+  if (groups == 0 || per_group == 0) {
+    return;  // the cylinder stores nothing at this replication degree
+  }
+  if (!runs_.empty()) {
+    CylinderRun& last = runs_.back();
+    if (last.zone == zone &&
+        last.first_cylinder + last.cylinders == cylinder &&
+        last.first_head == first_head && last.groups == groups &&
+        last.spt == spt && last.per_group == per_group) {
+      last.cylinders += cylinders;
+      return;
+    }
+  }
+  CylinderRun run;
+  run.first_logical =
+      runs_.empty() ? 0
+                    : runs_.back().first_logical +
+                          runs_.back().per_cylinder * runs_.back().cylinders;
+  run.per_cylinder = static_cast<uint64_t>(groups) * per_group;
+  run.zone = zone;
+  run.first_cylinder = cylinder;
+  run.cylinders = cylinders;
+  run.first_head = first_head;
+  run.groups = groups;
+  run.spt = spt;
+  run.per_group = per_group;
+  runs_.push_back(run);
+}
+
+SrDiskPlacement::Location SrDiskPlacement::Locate(uint64_t s) const {
   MIMDRAID_CHECK_LT(s, capacity_sectors_);
-  // Last entry with first_logical <= s.
+  // Last run with first_logical <= s.
   auto it = std::upper_bound(
-      table_.begin(), table_.end(), s,
-      [](uint64_t v, const CylinderEntry& e) { return v < e.first_logical; });
-  MIMDRAID_CHECK(it != table_.begin());
-  return *(it - 1);
+      runs_.begin(), runs_.end(), s,
+      [](uint64_t v, const CylinderRun& r) { return v < r.first_logical; });
+  MIMDRAID_CHECK(it != runs_.begin());
+  const CylinderRun& run = *(it - 1);
+  const uint64_t off = s - run.first_logical;
+  const uint64_t in_cylinder = off % run.per_cylinder;
+  Location loc;
+  loc.zone = run.zone;
+  loc.cylinder = run.first_cylinder +
+                 static_cast<uint32_t>(off / run.per_cylinder);
+  loc.first_head = run.first_head;
+  loc.groups = run.groups;
+  loc.spt = run.spt;
+  loc.per_group = run.per_group;
+  loc.group = static_cast<uint32_t>(in_cylinder / run.per_group);
+  loc.offset = static_cast<uint32_t>(in_cylinder % run.per_group);
+  return loc;
 }
 
-uint64_t SrDiskPlacement::PhysicalLba(uint64_t s, int r,
-                                      double base_angle) const {
+SrDiskPlacement::Replica SrDiskPlacement::Place(const Location& loc, int r,
+                                                double base_angle) const {
   MIMDRAID_CHECK_GE(r, 0);
   MIMDRAID_CHECK_LT(r, dr_);
-  const CylinderEntry& e = EntryFor(s);
-  const uint64_t off = s - e.first_logical;
-  const uint32_t group = static_cast<uint32_t>(off / e.per_group);
-  const uint32_t sector = static_cast<uint32_t>(off % e.per_group);
-  MIMDRAID_CHECK_LT(group, e.groups);
+  Replica out;
 
   if (mode_ == PlacementMode::kIntraTrack) {
     // All replicas share the group's single track, spaced SPT/Dr slots
     // apart (exactly even when Dr divides SPT; within a slot otherwise).
-    const uint32_t head = e.first_head + group;
+    const uint32_t head = loc.first_head + loc.group;
     const uint32_t shift =
-        static_cast<uint32_t>(std::llround(base_angle * e.spt));
+        static_cast<uint32_t>(std::llround(base_angle * loc.spt));
     const uint32_t replica_offset = static_cast<uint32_t>(
-        static_cast<uint64_t>(r) * e.spt / static_cast<uint64_t>(dr_));
-    const Chs chs{e.cylinder, head,
-                  (sector + replica_offset + shift) % e.spt};
-    const uint64_t lba = layout_->ToLba(chs);
-    MIMDRAID_CHECK_NE(lba, kInvalidLba);
-    return lba;
+        static_cast<uint64_t>(r) * loc.spt / static_cast<uint64_t>(dr_));
+    out.track_sector = (loc.offset + replica_offset + shift) % loc.spt;
+    out.lba = layout_->ToLba(Chs{loc.cylinder, head, out.track_sector});
+    MIMDRAID_CHECK_NE(out.lba, kInvalidLba);
+    return out;
   }
 
-  const uint32_t head =
-      e.first_head + group * static_cast<uint32_t>(dr_) + static_cast<uint32_t>(r);
+  const uint32_t head = loc.first_head +
+                        loc.group * static_cast<uint32_t>(dr_) +
+                        static_cast<uint32_t>(r);
 
   // Angular placement follows the skew chain of *consecutive* tracks — the
   // paper's "track skews must be re-arranged" requirement: group g's data is
   // placed at the angles of virtual track g (head first_head+g), so a large
   // sequential I/O crossing from group g to g+1 sees exactly one track skew,
   // even though the data physically sits Dr heads apart.
-  const Chs virtual_track{e.cylinder, e.first_head + group, sector};
+  const Chs virtual_track{loc.cylinder, loc.first_head + loc.group,
+                          loc.offset};
   const double rotate =
       base_angle + static_cast<double>(r) / static_cast<double>(dr_);
-  double angle = layout_->AngleOf(virtual_track) + rotate;
+  double angle =
+      static_cast<double>(layout_->SlotOf(
+          virtual_track, layout_->geometry().zones[loc.zone])) /
+          loc.spt +
+      rotate;
   angle -= std::floor(angle);
-  // Skip remapped holes (rare: only with bad sectors present).
-  for (uint32_t attempt = 0; attempt < e.spt; ++attempt) {
-    const uint64_t lba = layout_->LbaForAngle(e.cylinder, head, angle);
-    if (lba != kInvalidLba) {
-      return lba;
+  // Skip remapped holes (rare: only with bad sectors present). The LBA found
+  // is never itself remapped (ToLba reports a remapped slot as a hole), so
+  // its track sector is where the replica physically starts.
+  for (uint32_t attempt = 0; attempt < loc.spt; ++attempt) {
+    out.lba = layout_->LbaForAngle(loc.zone, loc.cylinder, head, angle,
+                                   &out.track_sector);
+    if (out.lba != kInvalidLba) {
+      return out;
     }
-    angle += 1.0 / e.spt;
+    angle += 1.0 / loc.spt;
     if (angle >= 1.0) {
       angle -= 1.0;
     }
   }
   MIMDRAID_CHECK(false);  // a data track cannot be entirely remapped
+}
+
+uint64_t SrDiskPlacement::PhysicalLba(uint64_t s, int r,
+                                      double base_angle) const {
+  return Place(Locate(s), r, base_angle).lba;
 }
 
 std::vector<uint64_t> SrDiskPlacement::AllReplicas(uint64_t s,
@@ -133,13 +181,11 @@ std::vector<uint64_t> SrDiskPlacement::AllReplicas(uint64_t s,
 }
 
 uint32_t SrDiskPlacement::ContiguousRun(uint64_t s) const {
-  const CylinderEntry& e = EntryFor(s);
-  const uint64_t off = s - e.first_logical;
-  return e.per_group - static_cast<uint32_t>(off % e.per_group);
+  return Locate(s).run();
 }
 
 uint32_t SrDiskPlacement::CylinderOf(uint64_t s) const {
-  return EntryFor(s).cylinder;
+  return Locate(s).cylinder;
 }
 
 uint32_t SrDiskPlacement::CylinderSpan(uint64_t sectors) const {
@@ -147,7 +193,7 @@ uint32_t SrDiskPlacement::CylinderSpan(uint64_t sectors) const {
     return 0;
   }
   MIMDRAID_CHECK_LE(sectors, capacity_sectors_);
-  return EntryFor(sectors - 1).cylinder;
+  return Locate(sectors - 1).cylinder;
 }
 
 uint64_t SrDiskPlacement::PhysicalSpanSectors(uint64_t sectors) const {
@@ -155,16 +201,17 @@ uint64_t SrDiskPlacement::PhysicalSpanSectors(uint64_t sectors) const {
     return 0;
   }
   MIMDRAID_CHECK_LE(sectors, capacity_sectors_);
-  const CylinderEntry& e = EntryFor(sectors - 1);
+  const Location last = Locate(sectors - 1);
   // Every track of the last used cylinder's group region counts as touched:
   // replicas rotate through the whole group, so the span ends at the last
   // sector of the last group track.
   const uint32_t tracks_used =
       mode_ == PlacementMode::kCrossTrack
-          ? e.groups * static_cast<uint32_t>(dr_)
-          : e.groups;
-  const uint32_t last_head = e.first_head + tracks_used - 1;
-  const uint64_t last_lba = layout_->ToLba(Chs{e.cylinder, last_head, e.spt - 1});
+          ? last.groups * static_cast<uint32_t>(dr_)
+          : last.groups;
+  const uint32_t last_head = last.first_head + tracks_used - 1;
+  const uint64_t last_lba =
+      layout_->ToLba(Chs{last.cylinder, last_head, last.spt - 1});
   MIMDRAID_CHECK_NE(last_lba, kInvalidLba);
   return last_lba + 1;
 }

@@ -50,6 +50,31 @@ class SrDiskPlacement {
   // Logical sectors this disk can hold at this replication degree.
   uint64_t capacity_sectors() const { return capacity_sectors_; }
 
+  // Where logical sector `s` sits: its cylinder, that cylinder's track-group
+  // shape, and the group and offset holding `s`.
+  struct Location {
+    uint32_t zone = 0;  // geometry zone of the cylinder
+    uint32_t cylinder = 0;
+    uint32_t first_head = 0;  // first data head of the cylinder
+    uint32_t groups = 0;      // track groups in the cylinder
+    uint32_t spt = 0;
+    uint32_t per_group = 0;   // logical sectors stored per group
+    uint32_t group = 0;       // track group holding the sector
+    uint32_t offset = 0;      // the sector's index within its group
+
+    // Logically contiguous sectors from here to the group's end.
+    uint32_t run() const { return per_group - offset; }
+  };
+  Location Locate(uint64_t s) const;
+
+  // One placed replica: its LBA and that LBA's sector index within its
+  // track (the replica is LBA-contiguous for at most spt - track_sector).
+  struct Replica {
+    uint64_t lba = 0;
+    uint32_t track_sector = 0;
+  };
+  Replica Place(const Location& loc, int r, double base_angle = 0.0) const;
+
   // Physical LBA of replica `r` of logical sector `s`. `base_angle` rotates
   // the whole replica set (used to stagger mirror copies); replica r is
   // placed at the natural angle + base_angle + r/dr.
@@ -76,22 +101,32 @@ class SrDiskPlacement {
   uint64_t PhysicalSpanSectors(uint64_t sectors) const;
 
  private:
-  struct CylinderEntry {
-    uint64_t first_logical = 0;  // first logical sector stored in this cylinder
-    uint32_t cylinder = 0;
+  // A run of consecutive cylinders sharing data heads and SPT. Within a zone
+  // only the cylinders holding the reserved and the spare tracks differ from
+  // the rest, so a drive needs a few dozen runs, not one entry per cylinder.
+  struct CylinderRun {
+    uint64_t first_logical = 0;  // first logical sector stored in the run
+    uint64_t per_cylinder = 0;   // logical sectors per cylinder
+    uint32_t zone = 0;
+    uint32_t first_cylinder = 0;
+    uint32_t cylinders = 0;
     uint32_t first_head = 0;  // first data head
-    uint32_t groups = 0;      // track groups available
+    uint32_t groups = 0;      // track groups available per cylinder
     uint32_t spt = 0;
     uint32_t per_group = 0;  // logical sectors stored per group
   };
 
-  const CylinderEntry& EntryFor(uint64_t s) const;
+  // Appends `cylinders` cylinders from `cylinder` on, each with `avail`
+  // data heads from `first_head`, merging into the previous run when the
+  // shape continues it.
+  void AddCylinders(uint32_t zone, uint32_t cylinder, uint32_t cylinders,
+                    uint32_t first_head, uint32_t avail, uint32_t spt);
 
   const DiskLayout* layout_;
   int dr_;
   PlacementMode mode_;
   uint64_t capacity_sectors_ = 0;
-  std::vector<CylinderEntry> table_;
+  std::vector<CylinderRun> runs_;
 };
 
 }  // namespace mimdraid

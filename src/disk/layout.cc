@@ -118,7 +118,10 @@ ResolvedPosition DiskLayout::Resolve(uint64_t lba) const {
 uint64_t DiskLayout::ToLba(const Chs& chs) const {
   MIMDRAID_CHECK_LT(chs.cylinder, geometry_->num_cylinders);
   MIMDRAID_CHECK_LT(chs.head, geometry_->num_heads);
-  const uint32_t zi = geometry_->ZoneIndexOf(chs.cylinder);
+  return ToLba(chs, geometry_->ZoneIndexOf(chs.cylinder));
+}
+
+uint64_t DiskLayout::ToLba(const Chs& chs, uint32_t zi) const {
   const ZoneExtent& e = extents_[zi];
   const Zone& z = geometry_->zones[zi];
   MIMDRAID_CHECK_LT(chs.sector, z.sectors_per_track);
@@ -171,17 +174,28 @@ double DiskLayout::AngleOf(const Chs& chs) const {
 
 uint64_t DiskLayout::LbaForAngle(uint32_t cylinder, uint32_t head,
                                  double angle) const {
+  MIMDRAID_CHECK_LT(head, geometry_->num_heads);
+  uint32_t sector = 0;
+  return LbaForAngle(geometry_->ZoneIndexOf(cylinder), cylinder, head, angle,
+                     &sector);
+}
+
+uint64_t DiskLayout::LbaForAngle(uint32_t zone_index, uint32_t cylinder,
+                                 uint32_t head, double angle,
+                                 uint32_t* sector) const {
   MIMDRAID_CHECK_GE(angle, 0.0);
   MIMDRAID_CHECK_LT(angle, 1.0);
-  const uint32_t spt = geometry_->SectorsPerTrack(cylinder);
+  const Zone& z = geometry_->zones[zone_index];
+  const uint32_t spt = z.sectors_per_track;
   // First slot whose start is at or after `angle` (cyclically).
   const uint32_t slot =
       static_cast<uint32_t>(std::ceil(angle * spt - 1e-9)) % spt;
   Chs chs;
   chs.cylinder = cylinder;
   chs.head = head;
-  chs.sector = (slot + spt - TrackStartSlot(cylinder, head)) % spt;
-  return ToLba(chs);
+  chs.sector = (slot + spt - TrackStartSlot(cylinder, head, z)) % spt;
+  *sector = chs.sector;
+  return ToLba(chs, zone_index);
 }
 
 bool DiskLayout::IsDataTrack(uint32_t cylinder, uint32_t head) const {

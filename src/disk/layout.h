@@ -107,9 +107,25 @@ class DiskLayout {
   // The LBA on (cylinder, head) whose slot begins at or cyclically next after
   // `angle` (in [0, 1)). Returns kInvalidLba if the track holds no data.
   uint64_t LbaForAngle(uint32_t cylinder, uint32_t head, double angle) const;
+  // The same for a cylinder of zone `zone_index`, skipping the zone lookups;
+  // also stores the slot's sector index within the track in `*sector`.
+  uint64_t LbaForAngle(uint32_t zone_index, uint32_t cylinder, uint32_t head,
+                       double angle, uint32_t* sector) const;
 
   // True if (cylinder, head) is a data track (not reserved, not spare).
   bool IsDataTrack(uint32_t cylinder, uint32_t head) const;
+
+  // Zone `zone_index`'s data tracks: global track indices (cylinder *
+  // num_heads + head) [first, first + count). Reserved and spare tracks sit
+  // outside the range.
+  struct TrackRange {
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+  TrackRange DataTracks(uint32_t zone_index) const {
+    return TrackRange{extents_[zone_index].first_track,
+                      extents_[zone_index].num_data_tracks};
+  }
 
   // First data cylinder (cylinders before it are entirely reserved).
   uint32_t first_data_cylinder() const { return first_data_cylinder_; }
@@ -136,6 +152,8 @@ class DiskLayout {
 
   // Natural (pre-remap) position of `lba` and the index of its zone.
   Chs NaturalChs(uint64_t lba, uint32_t* zone_index) const;
+  // ToLba for a position in zone `zone_index`.
+  uint64_t ToLba(const Chs& chs, uint32_t zone_index) const;
 
   const DiskGeometry* geometry_;
   std::vector<ZoneExtent> extents_;

@@ -32,7 +32,7 @@ SimDisk::SimDisk(Simulator* sim, const DiskGeometry& geometry,
 }
 
 void SimDisk::Start(DiskOp op, BlockAddr addr, uint32_t sectors,
-                    DiskCompletionFn done) {
+                    DiskCompletionFn done, const ResolvedPosition& hint) {
   const uint64_t lba = addr.value();
   MIMDRAID_CHECK(!busy_);
   MIMDRAID_CHECK_GT(sectors, 0u);
@@ -107,8 +107,8 @@ void SimDisk::Start(DiskOp op, BlockAddr addr, uint32_t sectors,
   }
 
   const AccessPlan plan =
-      timing_->Plan(head_, static_cast<double>(start.us()) + overhead, lba, sectors,
-                    op == DiskOp::kWrite);
+      timing_->Plan(head_, static_cast<double>(start.us()) + overhead, lba,
+                    hint, sectors, op == DiskOp::kWrite);
   if (fault.service_multiplier > 1.0) {
     // Fail-slow drive: the mechanical access is stretched; book the stretch
     // as overhead so the decomposition still sums to the service time.

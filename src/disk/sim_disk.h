@@ -105,8 +105,13 @@ class SimDisk {
 
   // Begins servicing a request. The disk must be idle. `done` fires at the
   // simulated completion time, after the disk has returned to idle, so the
-  // callback may immediately start the next request.
-  void Start(DiskOp op, BlockAddr lba, uint32_t sectors, DiskCompletionFn done);
+  // callback may immediately start the next request. `hint`, when resolved
+  // from `lba` against this drive's layout, spares the access plan its
+  // first position resolve; the layout refuses it once remaps exist (and a
+  // write over a latent-bad sector remaps before planning), so the plan is
+  // the same with or without it.
+  void Start(DiskOp op, BlockAddr lba, uint32_t sectors, DiskCompletionFn done,
+             const ResolvedPosition& hint = ResolvedPosition());
 
   bool busy() const { return busy_; }
 

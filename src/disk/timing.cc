@@ -86,8 +86,14 @@ std::optional<AccessPlan> DiskTimingModel::Evaluate(
 AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
                                  uint64_t lba, uint32_t sectors,
                                  bool is_write) const {
+  return Plan(from, start_us, lba, ResolvedPosition(), sectors, is_write);
+}
+
+AccessPlan DiskTimingModel::Plan(const HeadState& from, double start_us,
+                                 uint64_t lba, const ResolvedPosition& hint,
+                                 uint32_t sectors, bool is_write) const {
   MIMDRAID_CHECK_GT(sectors, 0u);
-  const ResolvedPosition pos = layout_->Resolve(lba);
+  const ResolvedPosition pos = layout_->Resolve(lba, hint);
   return PlanFrom(from, start_us, lba, pos,
                   SeekUs(from, pos.chs.cylinder, is_write), sectors, is_write);
 }

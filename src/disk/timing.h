@@ -65,6 +65,11 @@ class DiskTimingModel {
   // at `from`, starting at absolute time `start_us`.
   AccessPlan Plan(const HeadState& from, double start_us, uint64_t lba,
                   uint32_t sectors, bool is_write) const;
+  // The same, with `hint` standing in for the first position resolve while
+  // layout().Current(hint) (a caller that already resolved `lba`).
+  AccessPlan Plan(const HeadState& from, double start_us, uint64_t lba,
+                  const ResolvedPosition& hint, uint32_t sectors,
+                  bool is_write) const;
 
   // Plan(...) behind a cheap lower bound, in one pass over one candidate
   // (DESIGN.md §5). The bound on Plan(...).total_us is

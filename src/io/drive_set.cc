@@ -169,6 +169,15 @@ void DriveSet::MaybeDispatch(SlotId slot) {
   const BlockAddr chosen_lba = pick.lba;
   const uint32_t sectors = entry.sectors;
   const DiskOp op = entry.op;
+  // The picked replica's position, resolved at enqueue, seeds the drive's
+  // access plan.
+  ResolvedPosition hint;
+  for (const AccessCandidate& c : entry.candidates) {
+    if (c.lba == chosen_lba) {
+      hint = c.pos;
+      break;
+    }
+  }
   auto done = [this, slot, entry = std::move(entry), chosen_lba,
                predicted](const DiskOpResult& result) {
     predictors_[slot.value()]->OnCompletion(result.completion_us, chosen_lba,
@@ -185,7 +194,7 @@ void DriveSet::MaybeDispatch(SlotId slot) {
   // would add a heap allocation to every one of them.
   static_assert(DiskCompletionFn::FitsInline<decltype(done)>,
                 "dispatch completion closure outgrew DiskCompletionFn");
-  disks_[slot.value()]->Start(op, chosen_lba, sectors, std::move(done));
+  disks_[slot.value()]->Start(op, chosen_lba, sectors, std::move(done), hint);
 }
 
 void DriveSet::HandleCompletion(SlotId slot, const QueuedRequest& entry,

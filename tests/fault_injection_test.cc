@@ -360,6 +360,76 @@ TEST(ArrayRecovery, ReadTimeoutsRetryThenSurfaceUnrecoverable) {
   rig.Drain();
 }
 
+}  // namespace
+
+// Reaches into the controller's fragment slab (a friend of ArrayController).
+class ArrayControllerTestPeer {
+ public:
+  static std::vector<uint64_t> LiveFragments(const ArrayController& c) {
+    std::vector<uint64_t> keys;
+    c.frags_.ForEachLive([&](uint64_t key) { keys.push_back(key); });
+    return keys;
+  }
+  // Ends a fragment as unrecoverable, as a fragment whose last live replica
+  // vanished would end.
+  static void FailFragment(ArrayController& c, uint64_t key) {
+    c.CompleteFragmentUnrecoverable(key, c.frags_[key]);
+  }
+};
+
+namespace {
+
+TEST(ArrayRecovery, StaleRetryClosureLeavesReusedFragmentSlotAlone) {
+  FaultInjectorOptions fopts;
+  fopts.timeout_prob = 1.0;  // every command hangs until the watchdog fires
+  ArrayRig rig(1, 1, 1, fopts);
+  IoResult first;
+  bool first_done = false;
+  rig.controller->Submit(DiskOp::kRead, 0, 8, [&](const IoResult& r) {
+    first = r;
+    first_done = true;
+  });
+  // The first timeout arms an in-place retry of the fragment.
+  while (rig.controller->fault_stats().retries_issued == 0) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  const std::vector<uint64_t> retired =
+      ArrayControllerTestPeer::LiveFragments(*rig.controller);
+  ASSERT_EQ(retired.size(), 1u);
+  // The fragment ends while its retry timer is still pending, and the next
+  // read's fragment takes over the freed slot.
+  ArrayControllerTestPeer::FailFragment(*rig.controller, retired[0]);
+  ASSERT_TRUE(first_done);
+  EXPECT_EQ(first.status, IoStatus::kUnrecoverable);
+  IoResult second;
+  bool second_done = false;
+  rig.controller->Submit(DiskOp::kRead, 64, 8, [&](const IoResult& r) {
+    second = r;
+    second_done = true;
+  });
+  const std::vector<uint64_t> reused =
+      ArrayControllerTestPeer::LiveFragments(*rig.controller);
+  ASSERT_EQ(reused.size(), 1u);
+  EXPECT_EQ(static_cast<uint32_t>(reused[0]), static_cast<uint32_t>(retired[0]))
+      << "the new fragment should reuse the retired fragment's slot";
+  EXPECT_NE(reused[0], retired[0]);
+  while (!second_done) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  rig.Drain();
+  // The stale retry fired in between and changed nothing: the second read
+  // ran exactly its own recovery (three timeouts, two in-place retries, one
+  // failover that finds no live copy).
+  EXPECT_EQ(second.status, IoStatus::kUnrecoverable);
+  EXPECT_EQ(second.recovery_attempts, 3u);
+  const FaultRecoveryStats& fs = rig.controller->fault_stats();
+  EXPECT_EQ(fs.timeouts_seen, 4u);
+  EXPECT_EQ(fs.retries_issued, 3u);
+  EXPECT_EQ(fs.failovers, 1u);
+  EXPECT_EQ(fs.unrecoverable_completions, 2u);
+  EXPECT_EQ(rig.disks[0]->ops_failed(), 4u);
+}
+
 TEST(ArrayRecovery, MediaErrorFailsOverToMirrorAndRepairs) {
   ArrayRig rig(1, 1, 2, FaultInjectorOptions{});
   const size_t planted = rig.PlantLatentEverywhere(0, 3000);

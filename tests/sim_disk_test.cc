@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "src/disk/sim_disk.h"
+#include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace mimdraid {
 namespace {
@@ -218,6 +220,114 @@ TEST(SimDiskZbr, OuterZoneFasterThanInner) {
   const double inner =
       stream_mb_per_s(disk.num_sectors() - 8 * 1024 - 2048);
   EXPECT_GT(outer, inner * 1.3);  // SPT 264 vs 165 -> ~1.6x media rate
+}
+
+// Two identical drives, one planning from the caller's resolved position and
+// one resolving the LBA itself, must produce identical results: before any
+// remap, after one (the layout then refuses every hint, including hints
+// resolved before it), and on the write-reallocation path, which remaps
+// while planning.
+class HintedStartTest : public ::testing::Test {
+ protected:
+  // Each drive runs on its own simulator, so both see the same clock.
+  HintedStartTest()
+      : plain_(&plain_sim_, MakeTestGeometry(), MakeTestSeekProfile(),
+               DiskNoiseModel::Prototype(), /*seed=*/7,
+               /*spindle_phase_us=*/123.0),
+        hinted_(&hinted_sim_, MakeTestGeometry(), MakeTestSeekProfile(),
+                DiskNoiseModel::Prototype(), /*seed=*/7,
+                /*spindle_phase_us=*/123.0) {}
+
+  static DiskOpResult Run(Simulator& sim, SimDisk& disk, DiskOp op,
+                          uint64_t lba, uint32_t sectors,
+                          const ResolvedPosition& hint) {
+    DiskOpResult result;
+    bool done = false;
+    disk.Start(
+        op, BlockAddr(lba), sectors,
+        [&](const DiskOpResult& r) {
+          result = r;
+          done = true;
+        },
+        hint);
+    while (!done) {
+      EXPECT_TRUE(sim.Step());
+    }
+    return result;
+  }
+
+  // One access on each drive; `hint` goes to the hinted drive only.
+  void ExpectSame(DiskOp op, uint64_t lba, uint32_t sectors,
+                  const ResolvedPosition& hint) {
+    const DiskOpResult a = Run(plain_sim_, plain_, op, lba, sectors, {});
+    const DiskOpResult b = Run(hinted_sim_, hinted_, op, lba, sectors, hint);
+    EXPECT_EQ(a.status, b.status) << "lba=" << lba;
+    EXPECT_EQ(a.start_us, b.start_us) << "lba=" << lba;
+    EXPECT_EQ(a.completion_us, b.completion_us) << "lba=" << lba;
+    EXPECT_EQ(a.overhead_us, b.overhead_us) << "lba=" << lba;
+    EXPECT_EQ(a.seek_us, b.seek_us) << "lba=" << lba;
+    EXPECT_EQ(a.rotational_us, b.rotational_us) << "lba=" << lba;
+    EXPECT_EQ(a.transfer_us, b.transfer_us) << "lba=" << lba;
+  }
+
+  Simulator plain_sim_;
+  Simulator hinted_sim_;
+  SimDisk plain_;
+  SimDisk hinted_;
+};
+
+TEST_F(HintedStartTest, HintedAndUnhintedResultsMatch) {
+  Rng rng(11);
+  const uint64_t n = plain_.num_sectors() - 16;
+  std::vector<uint64_t> lbas;
+  std::vector<ResolvedPosition> early_hints;
+  for (int i = 0; i < 50; ++i) {
+    lbas.push_back(rng.UniformU64(n));
+    early_hints.push_back(hinted_.layout().Resolve(lbas.back()));
+    ExpectSame(i % 3 == 0 ? DiskOp::kWrite : DiskOp::kRead, lbas.back(), 8,
+               early_hints.back());
+  }
+  // Remap the first LBA on both drives: its early hint now names the wrong
+  // place, and the layout must refuse every hint from here on.
+  ASSERT_TRUE(plain_.mutable_layout().AddBadSector(lbas[0]));
+  ASSERT_TRUE(hinted_.mutable_layout().AddBadSector(lbas[0]));
+  ASSERT_NE(hinted_.layout().Resolve(lbas[0]).chs, early_hints[0].chs);
+  for (size_t i = 0; i < lbas.size(); ++i) {
+    ExpectSame(DiskOp::kRead, lbas[i], 8, early_hints[i]);
+    ExpectSame(DiskOp::kRead, lbas[i], 8, hinted_.layout().Resolve(lbas[i]));
+  }
+}
+
+TEST(HintedStart, WriteReallocationReplansFromTheRemap) {
+  // A write over a latent-bad sector remaps it before planning; a hint taken
+  // before the write names the sector's old home and must be refused.
+  FaultInjector plain_faults{FaultInjectorOptions{}};
+  FaultInjector hinted_faults{FaultInjectorOptions{}};
+  Simulator sim;
+  SimDisk plain(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
+                DiskNoiseModel::None(), 3, 0.0);
+  SimDisk hinted(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
+                 DiskNoiseModel::None(), 3, 0.0);
+  plain.SetFaultInjector(&plain_faults, SlotId(0));
+  hinted.SetFaultInjector(&hinted_faults, SlotId(0));
+  plain_faults.InjectLatentError(0, 500);
+  hinted_faults.InjectLatentError(0, 500);
+  const ResolvedPosition hint = hinted.layout().Resolve(500);
+  DiskOpResult a;
+  DiskOpResult b;
+  plain.Start(DiskOp::kWrite, BlockAddr(500), 1,
+              [&](const DiskOpResult& r) { a = r; });
+  hinted.Start(
+      DiskOp::kWrite, BlockAddr(500), 1, [&](const DiskOpResult& r) { b = r; },
+      hint);
+  sim.Run();
+  ASSERT_TRUE(hinted.layout().IsRemapped(500));
+  EXPECT_NE(hinted.layout().Resolve(500).chs, hint.chs);
+  EXPECT_EQ(a.status, IoStatus::kOk);
+  EXPECT_EQ(a.completion_us, b.completion_us);
+  EXPECT_EQ(a.seek_us, b.seek_us);
+  EXPECT_EQ(a.rotational_us, b.rotational_us);
+  EXPECT_EQ(a.transfer_us, b.transfer_us);
 }
 
 }  // namespace
