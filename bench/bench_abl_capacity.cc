@@ -63,8 +63,8 @@ Outcome RunArray(const ArrayAspect& aspect, SchedulerKind sched) {
 
 // Unlike RunArray's mixed pass, the parity rigs never set
 // foreground_write_propagation: that knob is mirror-only (delayed replica
-// propagation vs writing all replicas in the foreground) and EcOptions()
-// ignores it — a parity small write always does its full RMW or
+// propagation vs writing all replicas in the foreground) and the parity
+// backend never reads it — a parity small write always does its full RMW or
 // reconstruct-write cycle in the foreground. Setting it here would be dead
 // config implying a comparison knob that doesn't exist.
 Outcome RunRaid5() {

@@ -18,6 +18,8 @@
 #include "src/array/placement.h"
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
+#include "src/ec/ec_controller.h"
+#include "src/ec/ec_layout.h"
 #include "src/ec/gf256.h"
 #include "src/io/drive_set.h"
 #include "src/sched/positional_schedulers.h"
@@ -302,7 +304,7 @@ void BM_ParkedReadWake(benchmark::State& state) {
   aspect.ds = kDisks;
   ArrayLayout layout(&disks[0]->layout(), aspect, kUnit, n * kUnit);
   ArrayControllerOptions copts;
-  copts.scheduler = SchedulerKind::kFcfs;
+  copts.engine.scheduler = SchedulerKind::kFcfs;
   ArrayController controller(&sim, dptr, pptr, &layout, copts);
   std::vector<uint64_t> landed;  // units whose write completed
   const auto park_pair = [&](uint64_t unit) {
@@ -380,8 +382,8 @@ BENCHMARK(BM_ArrayLayoutMap);
 void BM_MirrorSubmitComplete(benchmark::State& state) {
   StripeFleet fleet;
   ArrayControllerOptions copts;
-  copts.scheduler = SchedulerKind::kSatf;
-  copts.max_scan = 128;
+  copts.engine.scheduler = SchedulerKind::kSatf;
+  copts.engine.max_scan = 128;
   ArrayController controller(&fleet.sim, fleet.dptr, fleet.pptr,
                              fleet.layout.get(), copts);
   Rng rng(37);
@@ -412,6 +414,65 @@ void BM_MirrorSubmitComplete(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MirrorSubmitComplete);
+
+// One erasure write round trip on a 4+2 array of ST39133 drives: Submit (map,
+// op and plan records), a read-modify-write's three pre-image reads and three
+// writes through SATF dispatch and the simulated accesses, and completion,
+// with 16 unit-aligned 8-sector writes kept outstanding. One iteration runs
+// the simulation until one more write completes.
+void BM_EcSubmitComplete(benchmark::State& state) {
+  constexpr uint32_t kK = 4;
+  constexpr uint32_t kM = 2;
+  constexpr uint32_t kUnit = 16;
+  constexpr uint64_t kPerDisk = 1'000'000;
+  Simulator sim;
+  std::vector<std::unique_ptr<SimDisk>> disks;
+  std::vector<std::unique_ptr<AccessPredictor>> predictors;
+  std::vector<SimDisk*> dptr;
+  std::vector<AccessPredictor*> pptr;
+  for (uint32_t i = 0; i < kK + kM; ++i) {
+    disks.push_back(std::make_unique<SimDisk>(
+        &sim, MakeSt39133Geometry(), MakeSt39133SeekProfile(),
+        DiskNoiseModel::None(), /*seed=*/500 + i,
+        /*spindle_phase_us=*/i * 613.0));
+    predictors.push_back(
+        std::make_unique<OraclePredictor>(disks.back().get(), 0.0));
+    dptr.push_back(disks.back().get());
+    pptr.push_back(predictors.back().get());
+  }
+  const EcLayout layout(kK + kM, kK, kUnit, kPerDisk);
+  const EcCodec codec(kK, kM);
+  DriveSetOptions options;
+  options.scheduler = SchedulerKind::kSatf;
+  EcController controller(&sim, dptr, pptr, &layout, &codec, options);
+  Rng rng(41);
+  uint64_t completed = 0;
+  bool issuing = true;
+  std::function<void()> issue = [&] {
+    const uint64_t lba =
+        rng.UniformU64(layout.data_capacity_sectors() / kUnit) * kUnit;
+    controller.Submit(DiskOp::kWrite, lba, 8, [&](const IoResult& /*r*/) {
+      ++completed;
+      if (issuing) {
+        issue();
+      }
+    });
+  };
+  for (int i = 0; i < 16; ++i) {
+    issue();
+  }
+  for (auto _ : state) {
+    const uint64_t target = completed + 1;
+    while (completed < target) {
+      sim.Step();
+    }
+    benchmark::DoNotOptimize(completed);
+  }
+  issuing = false;
+  while (!controller.Idle() && sim.Step()) {
+  }
+}
+BENCHMARK(BM_EcSubmitComplete);
 
 // Virtual-array grant/release round trip on a mixed two-generation fleet of
 // N drives under the most-free policy (the sorting policy: O(N log N) per

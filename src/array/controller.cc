@@ -7,28 +7,6 @@
 
 namespace mimdraid {
 
-namespace {
-// Status severity follows declaration order; an op surfaces the worst
-// unabsorbed status of its fragments.
-IoStatus Worse(IoStatus a, IoStatus b) {
-  return static_cast<uint8_t>(a) >= static_cast<uint8_t>(b) ? a : b;
-}
-
-DriveSetOptions EngineOptions(const ArrayControllerOptions& options) {
-  DriveSetOptions dso;
-  dso.scheduler = options.scheduler;
-  dso.max_scan = options.max_scan;
-  dso.auditor = options.auditor;
-  dso.fault_injector = options.fault_injector;
-  dso.collector = options.collector;
-  dso.retry = options.retry;
-  dso.disk_error_fail_threshold = options.disk_error_fail_threshold;
-  dso.scrub_interval_us = options.scrub_interval_us;
-  dso.scrub_gating = options.scrub_gating;
-  return dso;
-}
-}  // namespace
-
 ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
                                  std::vector<AccessPredictor*> predictors,
                                  const ArrayLayout* layout,
@@ -36,18 +14,19 @@ ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
     : sim_(sim),
       layout_(layout),
       options_(options),
-      auditor_(options.auditor),
-      collector_(options.collector) {
-  MIMDRAID_CHECK(sim != nullptr);
+      auditor_(options.engine.auditor),
+      collector_(options.engine.collector),
+      drives_(std::make_unique<DriveSet>(sim, std::move(disks),
+                                         std::move(predictors),
+                                         static_cast<DriveSetClient*>(this),
+                                         options.engine)),
+      ops_(collector_,
+           OpTally{&stats_.reads_completed, &stats_.writes_completed,
+                   &drives_->fstats().unrecoverable_completions}) {
   MIMDRAID_CHECK(layout != nullptr);
-  MIMDRAID_CHECK_EQ(disks.size(), layout->num_disks());
-  MIMDRAID_CHECK_EQ(predictors.size(), disks.size());
-  const size_t n = disks.size();
+  MIMDRAID_CHECK_EQ(drives_->num_slots(), layout->num_disks());
+  const size_t n = drives_->num_slots();
   recalibration_events_.resize(n);
-  drives_ = std::make_unique<DriveSet>(sim, std::move(disks),
-                                       std::move(predictors),
-                                       static_cast<DriveSetClient*>(this),
-                                       EngineOptions(options));
   if (options_.recalibration_interval_us > SimDuration(0)) {
     for (size_t i = 0; i < n; ++i) {
       ScheduleRecalibration(static_cast<uint32_t>(i));
@@ -122,14 +101,6 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
     }
   }
 
-  const uint64_t op_id = next_op_id_++;
-  // Parked reads are recorded only on resubmission (the early return above),
-  // with their original issue time, so parked waiting shows up in queue_us'
-  // complement: the e2e latency counts it, the final leg does not.
-  if (collector_ != nullptr) {
-    collector_->OnRequestArrival(op_id, op == DiskOp::kWrite, lba, sectors,
-                                 issue_us);
-  }
   // The scratch buffers are taken, not borrowed: a fragment that completes
   // at once (no live disk) runs a callback that may submit again, and that
   // nested call must not write into the buffers this one is reading.
@@ -138,15 +109,12 @@ void ArrayController::SubmitInternal(DiskOp op, uint64_t lba, uint32_t sectors,
   if (auditor_ != nullptr) {
     AuditMappedFragments(lba, sectors, mapped);
   }
-  const uint64_t op_handle = ops_.Acquire();
-  OpState& opstate = ops_[op_handle];
-  opstate.op_id = op_id;
-  opstate.op = op;
-  opstate.fragments_remaining = static_cast<uint32_t>(mapped.size());
-  opstate.done = std::move(done);
-  opstate.issue_us = issue_us;
-  opstate.status = IoStatus::kOk;
-  opstate.recovery_attempts = 0;
+  // Parked reads are recorded only on resubmission (the early return above),
+  // with their original issue time, so parked waiting shows up in queue_us'
+  // complement: the e2e latency counts it, the final leg does not.
+  const uint64_t op_handle =
+      ops_.Begin(op, lba, sectors, static_cast<uint32_t>(mapped.size()),
+                 issue_us, std::move(done));
 
   // Every fragment is recorded, and a write's whole range barred, before any
   // fragment is submitted: a fragment completing at once runs the caller's
@@ -229,7 +197,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     for (ReplicaLocation& loc : tail.bad_replicas) {
       loc.lba += best_prefix;
     }
-    ++ops_[frag.op_handle].fragments_remaining;
+    ops_.AddPart(frag.op_handle);
     frag.sectors = best_prefix;
     const bool head_ok = SubmitReadFragment(frag, frag_key);
     const bool tail_ok = SubmitReadFragment(frags_[tail_key], tail_key);
@@ -497,13 +465,7 @@ void ArrayController::OnEntryComplete(SlotId slot,
     ++frag.successes;
   }
   if (--frag.entries_remaining == 0) {
-    FinalLeg leg;
-    leg.entry_arrival_us = entry.arrival_us;
-    leg.disk_start_us = result.start_us;
-    leg.overhead_us = result.overhead_us;
-    leg.seek_us = result.seek_us;
-    leg.rotational_us = result.rotational_us;
-    leg.transfer_us = result.transfer_us;
+    const FinalLeg leg = LegOf(entry.arrival_us, result);
     CompleteFragment(entry.tag, frag, disk, chosen_lba, result.completion_us,
                      &leg);
   }
@@ -556,34 +518,7 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
   }
 
   frags_.Release(frag_key);
-
-  OpState& opstate = ops_[op_handle];
-  opstate.status = Worse(opstate.status, frag_status);
-  MIMDRAID_CHECK_GT(opstate.fragments_remaining, 0u);
-  if (--opstate.fragments_remaining == 0) {
-    if (opstate.status == IoStatus::kOk) {
-      if (op == DiskOp::kRead) {
-        ++stats_.reads_completed;
-      } else {
-        ++stats_.writes_completed;
-      }
-    } else {
-      ++fstats().unrecoverable_completions;
-    }
-    IoResult io;
-    io.status = opstate.status;
-    io.completion_us = completion_us;
-    io.recovery_attempts = opstate.recovery_attempts;
-    if (collector_ != nullptr) {
-      collector_->OnRequestComplete(opstate.op_id, io.status, io.completion_us,
-                                    io.recovery_attempts, leg);
-    }
-    DoneFn done = std::move(opstate.done);
-    ops_.Release(op_handle);
-    if (done) {
-      done(io);
-    }
-  }
+  ops_.PartDone(op_handle, frag_status, completion_us, leg);
   if (op == DiskOp::kWrite) {
     WakeParked();
   }
@@ -591,18 +526,12 @@ void ArrayController::CompleteFragment(uint64_t frag_key, FragState& frag,
 
 void ArrayController::CompleteFragmentUnrecoverable(uint64_t frag_key,
                                                     FragState& frag) {
-  frag.status = Worse(frag.status, IoStatus::kUnrecoverable);
+  frag.status = IoStatus::kUnrecoverable;
   CompleteFragment(frag_key, frag, /*chosen_disk=*/0, /*chosen_lba=*/0,
                    sim_->Now());
 }
 
 // --- Fault recovery -------------------------------------------------------
-
-void ArrayController::NoteOpRecoveryAttempt(uint64_t op_handle) {
-  if (OpState* op = ops_.Find(op_handle)) {
-    ++op->recovery_attempts;
-  }
-}
 
 void ArrayController::HandleEntryFailure(uint32_t disk,
                                          const QueuedRequest& entry,
@@ -622,12 +551,12 @@ void ArrayController::HandleReadFailure(uint32_t disk,
                                         uint64_t chosen_lba,
                                         const DiskOpResult& result) {
   FragState& frag = frags_[entry.tag];
-  NoteOpRecoveryAttempt(frag.op_handle);
+  ops_.NoteRecovery(frag.op_handle);
 
   // A timeout says nothing about the media; retry in place (bounded, with
   // backoff) before writing the path off.
   if (result.status == IoStatus::kTimeout && !drives_->failed(SlotId(disk)) &&
-      frag.attempts + 1 < options_.retry.max_attempts) {
+      frag.attempts + 1 < options_.engine.retry.max_attempts) {
     ++frag.attempts;
     ++fstats().retries_issued;
     drives_->ResolveFault(entry.id, FaultResolution::kRetried, false);
@@ -676,7 +605,7 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
                                          const DiskOpResult& result) {
   (void)result;
   FragState& frag = frags_[entry.tag];
-  NoteOpRecoveryAttempt(frag.op_handle);
+  ops_.NoteRecovery(frag.op_handle);
   const uint64_t frag_key = entry.tag;
 
   if (!options_.foreground_write_propagation) {
@@ -742,7 +671,7 @@ void ArrayController::LoseWriteReplica(uint64_t frag_key) {
   MIMDRAID_CHECK_GT(frag.entries_remaining, 0u);
   if (--frag.entries_remaining == 0) {
     if (frag.successes == 0) {
-      frag.status = Worse(frag.status, IoStatus::kUnrecoverable);
+      frag.status = IoStatus::kUnrecoverable;
     }
     CompleteFragment(frag_key, frag, /*chosen_disk=*/0, /*chosen_lba=*/0,
                      sim_->Now());
@@ -833,7 +762,7 @@ void ArrayController::OnSlotFailed(SlotId slot,
         continue;
       }
       ++fstats().failovers;
-      NoteOpRecoveryAttempt(frag.op_handle);
+      ops_.NoteRecovery(frag.op_handle);
       if (e.op == DiskOp::kRead) {
         SubmitReadFragment(frag, e.tag);
       } else {
@@ -882,24 +811,17 @@ void ArrayController::ScrubStep() {
   }
   if (scrub_cursor_ >= dataset) {
     scrub_cursor_ = 0;
-    ++fstats().scrub_sweeps_completed;
-    fstats().scrub_last_sweep_coverage =
-        sweep_sectors_nominal_ == 0
-            ? 0.0
-            : static_cast<double>(sweep_sectors_issued_) /
-                  static_cast<double>(sweep_sectors_nominal_);
-    sweep_sectors_issued_ = 0;
-    sweep_sectors_nominal_ = 0;
+    drives_->EndScrubSweep();
   }
   const uint32_t span = static_cast<uint32_t>(std::min<uint64_t>(
       layout_->stripe_unit_sectors(), dataset - scrub_cursor_));
   for (const ArrayFragment& f : layout_->Map(scrub_cursor_, span)) {
     for (const ReplicaLocation& loc : f.replicas) {
-      sweep_sectors_nominal_ += f.sectors;
-      if (drives_->failed(SlotId(loc.disk))) {
+      const bool live = !drives_->failed(SlotId(loc.disk));
+      drives_->TallyScrubRead(f.sectors, live);
+      if (!live) {
         continue;
       }
-      sweep_sectors_issued_ += f.sectors;
       // mdl-ok(MDL002): the read is its own record
       (void)drives_->EnqueueCommand(
           SlotId(loc.disk), DriveSet::Queue::kDelayed, DiskOp::kRead,

@@ -33,6 +33,7 @@
 #include "src/disk/sim_disk.h"
 #include "src/io/array_backend.h"
 #include "src/io/drive_set.h"
+#include "src/io/op_tracker.h"
 #include "src/obs/trace_collector.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/auditor.h"
@@ -46,9 +47,12 @@
 namespace mimdraid {
 
 struct ArrayControllerOptions {
-  SchedulerKind scheduler = SchedulerKind::kRsatf;
-  // Cap on SATF-class scan depth per dispatch (0 = whole queue).
-  size_t max_scan = 0;
+  // The mirror schedules with RSATF by default (the engine's own default is
+  // SATF).
+  ArrayControllerOptions() { engine.scheduler = SchedulerKind::kRsatf; }
+
+  // The per-drive engine's settings.
+  DriveSetOptions engine;
   // NVRAM delayed-write metadata table capacity; above this, pending delayed
   // writes are forced into the foreground queues (Section 3.4).
   size_t delayed_table_limit = 10'000;
@@ -60,44 +64,6 @@ struct ArrayControllerOptions {
   // mode of Figures 5 and 13). When false, the write completes after the
   // first copy; the rest propagate in the background.
   bool foreground_write_propagation = false;
-  // Debug tripwire: when set, the controller wires this runtime
-  // invariant auditor into the simulator, every disk, and every per-drive
-  // scheduler, and reports queue/replica/NVRAM transitions to it (see
-  // src/sim/auditor.h). Borrowed; must outlive the controller. Auditing
-  // observes without altering any scheduling decision, so measured results
-  // are unchanged.
-  InvariantAuditor* auditor = nullptr;
-  // Fault injection: when set, the controller wires the injector into every
-  // disk (and into promoted spares) and runs its recovery machinery against
-  // the faults the disks report. Borrowed; must outlive the controller.
-  FaultInjector* fault_injector = nullptr;
-  // Observability: when set, the controller wires the collector into every
-  // disk (and every promoted spare) and reports the request lifecycle to it
-  // (arrival, completion with the final-leg service decomposition, queue
-  // depth, dispatch prediction error). Borrowed; must outlive the
-  // controller. Like the auditor, the collector only observes — attaching it
-  // changes no scheduling or recovery decision.
-  TraceCollector* collector = nullptr;
-  // Bounded-retry policy for foreground reads that fail with a transient
-  // status (timeouts). Writes and background propagations retry without an
-  // attempt bound: they carry data that exists nowhere else yet, so the only
-  // legal terminal states are "landed" and "target disk failed".
-  RetryPolicy retry;
-  // Consecutive-error budget per disk before the controller declares the
-  // drive failed and promotes a hot spare (0 = never auto-fail on errors;
-  // an explicit kDiskFailed status always auto-fails).
-  uint32_t disk_error_fail_threshold = 0;
-  // Period of the background scrubber (0 = off). Each tick that finds the
-  // array otherwise idle reads every live replica of the next chunk of the
-  // logical space; a media error triggers a repair-rewrite from a surviving
-  // copy. Idle-gating is the rate limit: scrubbing never competes with
-  // foreground work.
-  SimDuration scrub_interval_us;
-  // Whether scrub ticks defer to foreground activity (historical default) or
-  // fire on every period regardless of engine load (fixed-period policy for
-  // reliability studies). The policy-level gate (no logical ops, no rebuild)
-  // applies under both modes.
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
 };
 
 struct ArrayStats {
@@ -200,9 +166,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   const FaultRecoveryStats& fault_stats() const override {
     return drives_->fstats();
   }
-  uint64_t disk_error_count(uint32_t disk) const {
-    return drives_->error_count(SlotId(disk));
-  }
 
   // Publishes "fault.*" and "array.*" counters.
   void ExportStats(StatsRegistry* registry) const override;
@@ -212,9 +175,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   void StopScrub() override { drives_->StopScrub(); }
   // Re-arms the timer; the next step resumes from scrub_cursor_ as it stood.
   void StartScrub() override { drives_->StartScrub(); }
-  uint64_t scrub_sweeps_completed() const {
-    return drives_->fstats().scrub_sweeps_completed;
-  }
 
  private:
   // Test access to the fragment slab (tests/fault_injection_test.cc).
@@ -224,7 +184,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // frags_ and named by a slab handle (QueuedRequest::tag, retry closures);
   // a recycled slot keeps its vectors' capacity.
   struct FragState {
-    uint64_t op_handle = 0;  // the owning OpState in ops_
+    uint64_t op_handle = 0;  // the owning op in ops_
     uint64_t logical_lba = 0;
     uint32_t sectors = 0;
     DiskOp op = DiskOp::kRead;
@@ -247,16 +207,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
 
     // Back to the freshly-mapped state, keeping vector capacity.
     void Reset();
-  };
-
-  struct OpState {
-    uint64_t op_id = 0;  // the collector's request id
-    DiskOp op = DiskOp::kRead;
-    uint32_t fragments_remaining = 0;
-    DoneFn done;
-    SimTime issue_us;
-    IoStatus status = IoStatus::kOk;  // worst status over fragments
-    uint32_t recovery_attempts = 0;   // retries/failovers spent on this op
   };
 
   struct ParkedRequest {
@@ -336,6 +286,10 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   bool ReplicaIsStale(uint32_t disk, uint64_t lba, uint32_t sectors) const;
 
   // --- Fault recovery (raw entries) ---
+  // engine.retry bounds the in-place retries of foreground reads that time
+  // out. Writes and background propagations retry without an attempt bound:
+  // they carry data that exists nowhere else yet, so the only legal terminal
+  // states are "landed" and "target disk failed".
   // Dispatches a failed entry's recovery; called from OnEntryComplete for
   // every non-kOk completion after the engine has the fault on record.
   void HandleEntryFailure(uint32_t disk, const QueuedRequest& entry,
@@ -346,7 +300,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
                           uint64_t chosen_lba, const DiskOpResult& result);
   void HandleDelayedFailure(uint32_t disk, const QueuedRequest& entry,
                             uint64_t chosen_lba, const DiskOpResult& result);
-  void NoteOpRecoveryAttempt(uint64_t op_handle);
   void CompleteFragmentUnrecoverable(uint64_t frag_key, FragState& frag);
   // A foreground-propagation replica write was lost (its disk failed);
   // accounts it and completes the fragment when all entries are in.
@@ -361,14 +314,13 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   TraceCollector* collector_ = nullptr;
 
   // The shared drive-pool engine: queues, dispatch, fault counting,
-  // auto-fail, spares, the scrub timer. Constructed in the ctor body.
+  // auto-fail, spares, the scrub timer.
   std::unique_ptr<DriveSet> drives_;
+  // Logical ops in flight; each of an op's fragments is one part.
+  OpTracker ops_;
 
   std::vector<EventId> recalibration_events_;
 
-  // Op ids stay a running counter: the collector reports them.
-  uint64_t next_op_id_ = 1;
-  HandleSlab<OpState> ops_;
   HandleSlab<FragState> frags_;
   // Scratch kept across requests so the steady-state Submit path allocates
   // nothing: Map's output, an op's fragment handles, and a read fragment's
@@ -413,11 +365,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
 
   // --- Background scrubbing state ---
   uint64_t scrub_cursor_ = 0;  // next logical LBA to sweep
-  // Per-sweep coverage tallies: sectors of scrub reads issued this sweep vs.
-  // what a fully-live array would have issued over the same logical span.
-  // Their ratio lands in fstats().scrub_last_sweep_coverage at sweep wrap.
-  uint64_t sweep_sectors_issued_ = 0;
-  uint64_t sweep_sectors_nominal_ = 0;
 
   ArrayStats stats_;
 };

@@ -124,9 +124,15 @@ SrDiskPlacement::Replica SrDiskPlacement::Place(const Location& loc, int r,
     const uint32_t replica_offset = static_cast<uint32_t>(
         static_cast<uint64_t>(r) * loc.spt / static_cast<uint64_t>(dr_));
     out.track_sector = (loc.offset + replica_offset + shift) % loc.spt;
-    out.lba = layout_->ToLba(Chs{loc.cylinder, head, out.track_sector});
-    MIMDRAID_CHECK_NE(out.lba, kInvalidLba);
-    return out;
+    // Step over remapped holes as cross-track placement does below.
+    for (uint32_t attempt = 0; attempt < loc.spt; ++attempt) {
+      out.lba = layout_->ToLba(Chs{loc.cylinder, head, out.track_sector});
+      if (out.lba != kInvalidLba) {
+        return out;
+      }
+      out.track_sector = (out.track_sector + 1) % loc.spt;
+    }
+    MIMDRAID_CHECK(false);  // a data track cannot be entirely remapped
   }
 
   const uint32_t head = loc.first_head +
@@ -210,10 +216,17 @@ uint64_t SrDiskPlacement::PhysicalSpanSectors(uint64_t sectors) const {
           ? last.groups * static_cast<uint32_t>(dr_)
           : last.groups;
   const uint32_t last_head = last.first_head + tracks_used - 1;
-  const uint64_t last_lba =
-      layout_->ToLba(Chs{last.cylinder, last_head, last.spt - 1});
-  MIMDRAID_CHECK_NE(last_lba, kInvalidLba);
-  return last_lba + 1;
+  // The span is a physical extent: it ends at the natural LBA of that last
+  // sector even when the sector has been remapped (ToLba reports such a slot
+  // as a hole). A track's natural LBAs are consecutive, so count on from its
+  // last sector that still maps.
+  for (uint32_t sector = last.spt; sector-- > 0;) {
+    const uint64_t lba = layout_->ToLba(Chs{last.cylinder, last_head, sector});
+    if (lba != kInvalidLba) {
+      return lba + (last.spt - sector);
+    }
+  }
+  MIMDRAID_CHECK(false);  // a data track cannot be entirely remapped
 }
 
 }  // namespace mimdraid

@@ -147,9 +147,14 @@ void MimdRaid::BuildBackend() {
         std::move(disk_layouts), options_.aspect,
         options_.stripe_unit_sectors, options_.dataset_sectors,
         options_.placement_mode);
+    ArrayControllerOptions copts;
+    copts.engine = EngineOptions();
+    copts.delayed_table_limit = options_.delayed_table_limit;
+    copts.recalibration_interval_us = options_.recalibration_interval_us;
+    copts.foreground_write_propagation = options_.foreground_write_propagation;
     controller_ = std::make_unique<ArrayController>(
         &sim_, std::move(disk_ptrs), std::move(pred_ptrs), layout_.get(),
-        ControllerOptions());
+        copts);
     backend_ = controller_.get();
   } else {
     const bool raid5 = options_.backend == ArrayBackendKind::kRaid5;
@@ -178,7 +183,7 @@ void MimdRaid::BuildBackend() {
     ec_codec_ = std::make_unique<EcCodec>(k, m);
     ec_ = std::make_unique<EcController>(
         &sim_, std::move(disk_ptrs), std::move(pred_ptrs), ec_layout_.get(),
-        ec_codec_.get(), EcOptions());
+        ec_codec_.get(), EngineOptions());
     backend_ = ec_.get();
   }
   for (size_t i = 0; i < spare_disks_.size(); ++i) {
@@ -186,35 +191,18 @@ void MimdRaid::BuildBackend() {
   }
 }
 
-ArrayControllerOptions MimdRaid::ControllerOptions() const {
-  ArrayControllerOptions copts;
-  copts.scheduler = options_.scheduler;
-  copts.max_scan = options_.max_scan;
-  copts.delayed_table_limit = options_.delayed_table_limit;
-  copts.recalibration_interval_us = options_.recalibration_interval_us;
-  copts.foreground_write_propagation = options_.foreground_write_propagation;
-  copts.fault_injector = injector_.get();
-  copts.retry = options_.retry;
-  copts.disk_error_fail_threshold = options_.disk_error_fail_threshold;
-  copts.scrub_interval_us = options_.scrub_interval_us;
-  copts.scrub_gating = options_.scrub_gating;
-  copts.collector = options_.collector;
-  copts.auditor = options_.auditor;
-  return copts;
-}
-
-EcControllerOptions MimdRaid::EcOptions() const {
-  EcControllerOptions eopts;
-  eopts.scheduler = options_.scheduler;
-  eopts.max_scan = options_.max_scan;
-  eopts.auditor = options_.auditor;
-  eopts.fault_injector = injector_.get();
-  eopts.collector = options_.collector;
-  eopts.retry = options_.retry;
-  eopts.disk_error_fail_threshold = options_.disk_error_fail_threshold;
-  eopts.scrub_interval_us = options_.scrub_interval_us;
-  eopts.scrub_gating = options_.scrub_gating;
-  return eopts;
+DriveSetOptions MimdRaid::EngineOptions() const {
+  DriveSetOptions engine;
+  engine.scheduler = options_.scheduler;
+  engine.max_scan = options_.max_scan;
+  engine.auditor = options_.auditor;
+  engine.fault_injector = injector_.get();
+  engine.collector = options_.collector;
+  engine.retry = options_.retry;
+  engine.disk_error_fail_threshold = options_.disk_error_fail_threshold;
+  engine.scrub_interval_us = options_.scrub_interval_us;
+  engine.scrub_gating = options_.scrub_gating;
+  return engine;
 }
 
 void MimdRaid::Reshape(const ArrayAspect& aspect, SimDuration migration_us) {

@@ -152,8 +152,8 @@ class MimdRaid {
   void Reshape(const ArrayAspect& aspect, SimDuration migration_us);
 
  private:
-  ArrayControllerOptions ControllerOptions() const;
-  EcControllerOptions EcOptions() const;
+  // The engine settings either backend runs with.
+  DriveSetOptions EngineOptions() const;
   // (Re)creates the configured backend over disks_/predictors_ and registers
   // the hot spares with it.
   void BuildBackend();

@@ -1,36 +1,11 @@
 #include "src/ec/ec_controller.h"
 
-#include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "src/util/check.h"
 
 namespace mimdraid {
-
-namespace {
-
-// Status severity follows enum declaration order.
-IoStatus Worse(IoStatus a, IoStatus b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-
-DriveSetOptions EngineOptions(const EcControllerOptions& options) {
-  DriveSetOptions engine;
-  engine.scheduler = options.scheduler;
-  engine.max_scan = options.max_scan;
-  engine.auditor = options.auditor;
-  engine.fault_injector = options.fault_injector;
-  engine.collector = options.collector;
-  engine.retry = options.retry;
-  engine.disk_error_fail_threshold = options.disk_error_fail_threshold;
-  engine.scrub_interval_us = options.scrub_interval_us;
-  engine.scrub_gating = options.scrub_gating;
-  return engine;
-}
-
-}  // namespace
 
 template <typename Fn>
 void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
@@ -44,7 +19,7 @@ void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
                   done = std::move(done)](const DiskOpResult& r,
                                           uint64_t id) mutable {
     if (!r.ok() && r.status != IoStatus::kDiskFailed &&
-        attempts + 1 < options_.retry.max_attempts &&
+        attempts + 1 < drives_->options().retry.max_attempts &&
         !drives_->failed(SlotId(disk))) {
       ++fstats().retries_issued;
       drives_->ResolveFault(id, FaultResolution::kRetried, false);
@@ -71,24 +46,23 @@ void EcController::EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba,
 EcController::EcController(Simulator* sim, std::vector<SimDisk*> disks,
                            std::vector<AccessPredictor*> predictors,
                            const EcLayout* layout, const EcCodec* codec,
-                           const EcControllerOptions& options)
+                           const DriveSetOptions& options)
     : sim_(sim),
       layout_(layout),
       codec_(codec),
-      options_(options),
       auditor_(options.auditor),
-      collector_(options.collector) {
-  MIMDRAID_CHECK(sim != nullptr);
+      drives_(std::make_unique<DriveSet>(sim, std::move(disks),
+                                         std::move(predictors),
+                                         static_cast<DriveSetClient*>(this),
+                                         options)),
+      ops_(options.collector,
+           OpTally{&stats_.reads_completed, &stats_.writes_completed,
+                   &drives_->fstats().unrecoverable_completions}) {
   MIMDRAID_CHECK(layout != nullptr);
   MIMDRAID_CHECK(codec != nullptr);
-  MIMDRAID_CHECK_EQ(disks.size(), layout->num_disks());
-  MIMDRAID_CHECK_EQ(predictors.size(), disks.size());
+  MIMDRAID_CHECK_EQ(drives_->num_slots(), layout->num_disks());
   MIMDRAID_CHECK_EQ(codec->n(), layout->num_disks());
   MIMDRAID_CHECK_EQ(codec->k(), layout->data_shards());
-  drives_ = std::make_unique<DriveSet>(sim, std::move(disks),
-                                       std::move(predictors),
-                                       static_cast<DriveSetClient*>(this),
-                                       EngineOptions(options));
   drives_->StartScrub();
 }
 
@@ -193,24 +167,17 @@ void EcController::ScrubStep() {
   }
   if (scrub_cursor_ >= rows) {
     scrub_cursor_ = 0;
-    ++fstats().scrub_sweeps_completed;
-    fstats().scrub_last_sweep_coverage =
-        sweep_sectors_nominal_ == 0
-            ? 0.0
-            : static_cast<double>(sweep_sectors_issued_) /
-                  static_cast<double>(sweep_sectors_nominal_);
-    sweep_sectors_issued_ = 0;
-    sweep_sectors_nominal_ = 0;
+    drives_->EndScrubSweep();
   }
   const uint32_t row = scrub_cursor_++;
   const uint32_t unit = layout_->stripe_unit_sectors();
   const uint64_t lba = static_cast<uint64_t>(row) * unit;
   for (uint32_t d = 0; d < layout_->num_disks(); ++d) {
-    sweep_sectors_nominal_ += unit;
-    if (!DiskUsable(d, row)) {
+    const bool usable = DiskUsable(d, row);
+    drives_->TallyScrubRead(unit, usable);
+    if (!usable) {
       continue;
     }
-    sweep_sectors_issued_ += unit;
     EnqueueDiskOp(
         d, DiskOp::kRead, lba, unit,
         [this, d, lba, unit](const DiskOpResult& r, uint64_t id) {
@@ -275,64 +242,85 @@ std::vector<uint32_t> EcController::ReadableColumns(
 void EcController::Submit(DiskOp op, uint64_t lba, uint32_t sectors,
                           DoneFn done) {
   MIMDRAID_CHECK_GT(sectors, 0u);
-  const uint64_t op_id = next_op_id_++;
-  if (collector_ != nullptr) {
-    collector_->OnRequestArrival(op_id, op == DiskOp::kWrite, lba, sectors,
-                                 sim_->Now());
-  }
   const std::vector<EcFragment> frags = layout_->Map(lba, sectors);
-  PendingOp& pending = ops_[op_id];
-  pending.remaining = static_cast<uint32_t>(frags.size());
-  pending.done = std::move(done);
-  pending.op = op;
+  const uint64_t op_handle =
+      ops_.Begin(op, lba, sectors, static_cast<uint32_t>(frags.size()),
+                 sim_->Now(), std::move(done));
   for (const EcFragment& frag : frags) {
     if (op == DiskOp::kRead) {
-      SubmitReadFragment(op_id, frag);
+      SubmitReadFragment(op_handle, frag);
     } else {
-      SubmitWriteFragment(op_id, frag);
+      SubmitWriteFragment(op_handle, frag);
     }
   }
 }
 
-void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
+uint64_t EcController::NewPlan(uint64_t op_handle, const EcFragment& frag,
+                               DiskOp op, bool force_degraded,
+                               int phase_remaining) {
+  const uint64_t key = frags_.Acquire();
+  FragWork& work = frags_[key];
+  work = FragWork{};
+  work.op_handle = op_handle;
+  work.frag = frag;
+  work.op = op;
+  work.phase_remaining = phase_remaining;
+  work.force_degraded = force_degraded;
+  return key;
+}
+
+void EcController::DropStaleResult(const DiskOpResult& r, uint64_t id) {
+  if (!r.ok()) {
+    drives_->ResolveFault(id, FaultResolution::kSurfaced,
+                          r.status == IoStatus::kDiskFailed);
+  }
+}
+
+void EcController::Replan(uint64_t key, bool force_degraded,
+                          bool repair_on_success) {
+  const FragWork& work = frags_[key];
+  const uint64_t op_handle = work.op_handle;
+  const EcFragment frag = work.frag;
+  const DiskOp op = work.op;
+  frags_.Release(key);
+  ops_.NoteRecovery(op_handle);
+  if (op == DiskOp::kRead) {
+    SubmitReadFragment(op_handle, frag, force_degraded, repair_on_success);
+  } else {
+    SubmitWriteFragment(op_handle, frag, force_degraded);
+  }
+}
+
+void EcController::SubmitReadFragment(uint64_t op_handle,
+                                      const EcFragment& frag,
                                       bool force_degraded,
                                       bool repair_on_success) {
-  auto work = std::make_shared<FragWork>();
-  work->op_id = op_id;
-  work->frag = frag;
-  work->op = DiskOp::kRead;
-  work->force_degraded = force_degraded;
-  work->repair_pending = repair_on_success;
-
   if (!force_degraded && DiskUsable(frag.data_disk, frag.row)) {
-    work->phase_remaining = 1;
+    const uint64_t key = NewPlan(op_handle, frag, DiskOp::kRead,
+                                 force_degraded, /*phase_remaining=*/1);
+    frags_[key].repair_pending = repair_on_success;
     EnqueueDiskOp(
         frag.data_disk, DiskOp::kRead, frag.disk_lba, frag.sectors,
-        [this, work](const DiskOpResult& r, uint64_t id) {
-          if (work->abandoned) {
-            if (!r.ok()) {
-              drives_->ResolveFault(id, FaultResolution::kSurfaced,
-                                    r.status == IoStatus::kDiskFailed);
-            }
+        [this, key](const DiskOpResult& r, uint64_t id) {
+          FragWork* work = frags_.Find(key);
+          if (work == nullptr) {
+            DropStaleResult(r, id);
             return;
           }
           if (r.ok()) {
-            FragmentPhaseDone(work, r.completion_us, &r);
+            FragmentPhaseDone(key, *work, &r);
             return;
           }
           // Direct read failed past the retry budget: fail over to decode
           // reconstruction. A media error additionally queues a repair
           // rewrite once the data is back in hand.
-          work->abandoned = true;
-          NoteOpRecovery(work->op_id);
           ++fstats().failovers;
+          const bool data_failed =
+              drives_->failed(SlotId(work->frag.data_disk));
           const bool repair =
-              r.status == IoStatus::kMediaError &&
-              !drives_->failed(SlotId(work->frag.data_disk));
-          drives_->ResolveFault(id, FaultResolution::kFailedOver,
-                                drives_->failed(SlotId(work->frag.data_disk)));
-          SubmitReadFragment(work->op_id, work->frag,
-                             /*force_degraded=*/true, repair);
+              r.status == IoStatus::kMediaError && !data_failed;
+          drives_->ResolveFault(id, FaultResolution::kFailedOver, data_failed);
+          Replan(key, /*force_degraded=*/true, repair);
         });
     return;
   }
@@ -345,7 +333,7 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
   if (cols.size() < codec_->k()) {
     // More than m row members are gone: the data is lost. Finish the
     // fragment gracefully instead of crashing.
-    CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(op_handle);
     return;
   }
   cols.resize(codec_->k());
@@ -355,39 +343,35 @@ void EcController::SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
     positions.push_back(layout_->PositionOfDisk(frag.row, d));
   }
   MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
-  work->degraded = true;
-  work->phase_remaining = static_cast<int>(cols.size());
   ++stats_.degraded_reads;
   ++fstats().reconstructions;
+  const uint64_t key = NewPlan(op_handle, frag, DiskOp::kRead, force_degraded,
+                               static_cast<int>(cols.size()));
+  frags_[key].repair_pending = repair_on_success;
   for (uint32_t d : cols) {
     EnqueueDiskOp(d, DiskOp::kRead, frag.disk_lba, frag.sectors,
-                  [this, work](const DiskOpResult& r, uint64_t id) {
+                  [this, key](const DiskOpResult& r, uint64_t id) {
                     if (!r.ok()) {
                       // A fault while decoding an already-missing member:
                       // the loss is surfaced to the submitter.
                       drives_->ResolveFault(id, FaultResolution::kSurfaced,
                                             r.status == IoStatus::kDiskFailed);
                     }
-                    if (work->abandoned) {
+                    FragWork* work = frags_.Find(key);
+                    if (work == nullptr) {
                       return;
                     }
                     if (!r.ok()) {
-                      work->status =
-                          Worse(work->status, IoStatus::kUnrecoverable);
+                      work->status = IoStatus::kUnrecoverable;
                     }
-                    FragmentPhaseDone(work, r.completion_us, &r);
+                    FragmentPhaseDone(key, *work, &r);
                   });
   }
 }
 
-void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
+void EcController::SubmitWriteFragment(uint64_t op_handle,
+                                       const EcFragment& frag,
                                        bool force_degraded) {
-  auto work = std::make_shared<FragWork>();
-  work->op_id = op_id;
-  work->frag = frag;
-  work->op = DiskOp::kWrite;
-  work->force_degraded = force_degraded;
-
   const uint32_t k = codec_->k();
   const uint32_t m = codec_->m();
   const bool data_writable = DiskUsable(frag.data_disk, frag.row);
@@ -401,20 +385,18 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   if (!data_writable && live_parities == 0) {
     // Neither the data unit nor any parity can record the write: the
     // fragment's contents cannot be persisted anywhere.
-    CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(op_handle);
     return;
   }
-  const bool degraded =
-      force_degraded || !data_writable || live_parities < m;
-  if (degraded) {
-    work->degraded = true;
+  if (force_degraded || !data_writable || live_parities < m) {
     ++stats_.degraded_writes;
   }
 
   if (live_parities == 0) {
     // No parity to maintain: just write the data.
-    work->phase_remaining = 1;
-    FragmentPhaseDone(work, sim_->Now());
+    const uint64_t key = NewPlan(op_handle, frag, DiskOp::kWrite,
+                                 force_degraded, /*phase_remaining=*/1);
+    FragmentPhaseDone(key, frags_[key]);
     return;
   }
 
@@ -429,6 +411,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   // whenever it is valid, so at most one RCW variant competes.
   const uint32_t rmw_reads = 1 + live_parities;
   std::vector<uint32_t> other_data;
+  other_data.reserve(k - 1);
   bool others_readable = true;
   for (uint32_t s = 0; s < k; ++s) {
     if (s == frag.shard_index) {
@@ -469,7 +452,7 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   if (!rmw_valid && !rcw_valid) {
     // Fewer than k readable columns and no old data to delta against: the
     // new parity cannot be computed.
-    CompleteFragmentFailed(op_id, IoStatus::kUnrecoverable);
+    CompleteFragmentFailed(op_handle);
     return;
   }
   bool use_rmw = false;
@@ -485,48 +468,44 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
         (!rcw_valid || rmw_reads <= static_cast<uint32_t>(rcw_reads.size()));
   }
 
+  const uint64_t key = NewPlan(op_handle, frag, DiskOp::kWrite, force_degraded,
+                               /*phase_remaining=*/0);
   // Shared handler for every read-phase sub-op of a write fragment.
-  auto read_cb = [this, work](const DiskOpResult& r, uint64_t id) {
-    if (work->abandoned) {
-      if (!r.ok()) {
-        drives_->ResolveFault(id, FaultResolution::kSurfaced,
-                              r.status == IoStatus::kDiskFailed);
-      }
+  auto read_cb = [this, key](const DiskOpResult& r, uint64_t id) {
+    FragWork* work = frags_.Find(key);
+    if (work == nullptr) {
+      DropStaleResult(r, id);
       return;
     }
     if (!r.ok()) {
       if (r.status == IoStatus::kDiskFailed) {
         // Row membership changed under us: re-plan against the survivors.
-        work->abandoned = true;
-        NoteOpRecovery(work->op_id);
         drives_->ResolveFault(id, FaultResolution::kFailedOver,
                               /*target_disk_failed=*/true);
-        SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
+        Replan(key, work->force_degraded, /*repair_on_success=*/false);
         return;
       }
       if (!work->force_degraded) {
         // A pre-image is unreadable; re-plan once with the old data treated
         // as lost (forcing a reconstruct-write that avoids it).
-        work->abandoned = true;
-        NoteOpRecovery(work->op_id);
         ++fstats().failovers;
         drives_->ResolveFault(id, FaultResolution::kFailedOver,
                               /*target_disk_failed=*/false);
-        SubmitWriteFragment(work->op_id, work->frag, /*force_degraded=*/true);
+        Replan(key, /*force_degraded=*/true, /*repair_on_success=*/false);
         return;
       }
       // Already on the fallback plan and a decode column is unreadable: the
       // new parity cannot be computed.
-      work->status = Worse(work->status, IoStatus::kUnrecoverable);
+      work->status = IoStatus::kUnrecoverable;
       drives_->ResolveFault(id, FaultResolution::kSurfaced,
                             /*target_disk_failed=*/false);
     }
-    FragmentPhaseDone(work, r.completion_us, &r);
+    FragmentPhaseDone(key, *work, &r);
   };
 
   if (use_rmw) {
     ++stats_.rmw_writes;
-    work->phase_remaining = static_cast<int>(rmw_reads);
+    frags_[key].phase_remaining = static_cast<int>(rmw_reads);
     EnqueueDiskOp(frag.data_disk, DiskOp::kRead, frag.disk_lba, frag.sectors,
                   read_cb);
     for (uint32_t j = 0; j < m; ++j) {
@@ -539,28 +518,27 @@ void EcController::SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
   }
 
   ++stats_.reconstruct_writes;
-  work->phase_remaining = static_cast<int>(rcw_reads.size());
-  if (work->phase_remaining == 0) {
+  if (rcw_reads.empty()) {
     // k == 1: the new data alone determines every parity.
-    work->phase_remaining = 1;
-    FragmentPhaseDone(work, sim_->Now());
+    frags_[key].phase_remaining = 1;
+    FragmentPhaseDone(key, frags_[key]);
     return;
   }
+  frags_[key].phase_remaining = static_cast<int>(rcw_reads.size());
   for (uint32_t d : rcw_reads) {
     EnqueueDiskOp(d, DiskOp::kRead, frag.disk_lba, frag.sectors, read_cb);
   }
 }
 
-void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
-                                     SimTime completion,
+void EcController::FragmentPhaseDone(uint64_t key, FragWork& work,
                                      const DiskOpResult* last) {
-  MIMDRAID_CHECK_GT(work->phase_remaining, 0);
-  if (--work->phase_remaining > 0) {
+  MIMDRAID_CHECK_GT(work.phase_remaining, 0);
+  if (--work.phase_remaining > 0) {
     return;
   }
-  const EcFragment& frag = work->frag;
-  if (work->op == DiskOp::kRead) {
-    if (work->status == IoStatus::kOk && work->repair_pending &&
+  const EcFragment& frag = work.frag;
+  if (work.op == DiskOp::kRead) {
+    if (work.status == IoStatus::kOk && work.repair_pending &&
         DiskUsable(frag.data_disk, frag.row)) {
       // Reconstructed data in hand: rewrite the latent-bad sectors so the
       // drive reallocates them. Best-effort — if the rewrite fails the next
@@ -576,59 +554,58 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
                       }
                     });
     }
-    OpPartDone(work->op_id, completion, work->status, last);
+    FinishFragment(key, last);
     return;
   }
 
   // Write: the read phase (if any) is done.
-  if (work->status != IoStatus::kOk) {
+  if (work.status != IoStatus::kOk) {
     // A pre-image or decode read failed; the new parity cannot be computed.
-    OpPartDone(work->op_id, completion, work->status, last);
+    FinishFragment(key, last);
     return;
   }
   const bool data_ok = DiskUsable(frag.data_disk, frag.row);
   std::vector<uint32_t> parity_targets;
+  parity_targets.reserve(codec_->m());
   for (uint32_t j = 0; j < codec_->m(); ++j) {
     const uint32_t p = layout_->ParityDiskOf(frag.row, j);
     if (DiskUsable(p, frag.row)) {
       parity_targets.push_back(p);
     }
   }
-  auto writes = std::make_shared<int>(0);
-  auto on_write = [this, work, writes](const DiskOpResult& r, uint64_t id) {
-    if (work->abandoned) {
-      if (!r.ok()) {
-        drives_->ResolveFault(id, FaultResolution::kSurfaced,
-                              r.status == IoStatus::kDiskFailed);
-      }
+  work.writes_remaining =
+      (data_ok ? 1 : 0) + static_cast<int>(parity_targets.size());
+  if (work.writes_remaining == 0) {
+    // Every target died while the reads were in flight.
+    const uint64_t op_handle = work.op_handle;
+    frags_.Release(key);
+    CompleteFragmentFailed(op_handle);
+    return;
+  }
+  auto on_write = [this, key](const DiskOpResult& r, uint64_t id) {
+    FragWork* plan = frags_.Find(key);
+    if (plan == nullptr) {
+      DropStaleResult(r, id);
       return;
     }
     if (!r.ok()) {
       if (r.status == IoStatus::kDiskFailed) {
         // The target died mid-write: re-plan the fragment; the surviving
         // members are (re)written by the new plan.
-        work->abandoned = true;
-        NoteOpRecovery(work->op_id);
         drives_->ResolveFault(id, FaultResolution::kFailedOver,
                               /*target_disk_failed=*/true);
-        SubmitWriteFragment(work->op_id, work->frag, work->force_degraded);
+        Replan(key, plan->force_degraded, /*repair_on_success=*/false);
         return;
       }
-      work->status = Worse(work->status, IoStatus::kUnrecoverable);
+      plan->status = IoStatus::kUnrecoverable;
       drives_->ResolveFault(id, FaultResolution::kSurfaced,
                             /*target_disk_failed=*/false);
     }
-    MIMDRAID_CHECK_GT(*writes, 0);
-    if (--*writes == 0) {
-      OpPartDone(work->op_id, r.completion_us, work->status, &r);
+    MIMDRAID_CHECK_GT(plan->writes_remaining, 0);
+    if (--plan->writes_remaining == 0) {
+      FinishFragment(key, &r);
     }
   };
-  *writes = (data_ok ? 1 : 0) + static_cast<int>(parity_targets.size());
-  if (*writes == 0) {
-    // Every target died while the reads were in flight.
-    CompleteFragmentFailed(work->op_id, IoStatus::kUnrecoverable);
-    return;
-  }
   if (data_ok) {
     EnqueueDiskOp(frag.data_disk, DiskOp::kWrite, frag.disk_lba, frag.sectors,
                   on_write);
@@ -638,62 +615,27 @@ void EcController::FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
   }
 }
 
-void EcController::OpPartDone(uint64_t op_id, SimTime completion,
-                              IoStatus status, const DiskOpResult* last) {
-  auto it = ops_.find(op_id);
-  MIMDRAID_CHECK(it != ops_.end());
-  PendingOp& pending = it->second;
-  if (collector_ != nullptr && last != nullptr &&
-      completion >= pending.last_completion) {
-    pending.has_leg = true;
-    pending.leg.entry_arrival_us = last->start_us;
-    pending.leg.disk_start_us = last->start_us;
-    pending.leg.overhead_us = last->overhead_us;
-    pending.leg.seek_us = last->seek_us;
-    pending.leg.rotational_us = last->rotational_us;
-    pending.leg.transfer_us = last->transfer_us;
+void EcController::FinishFragment(uint64_t key, const DiskOpResult* last) {
+  const FragWork& work = frags_[key];
+  const uint64_t op_handle = work.op_handle;
+  const IoStatus status = work.status;
+  frags_.Release(key);
+  if (last == nullptr) {
+    ops_.PartDone(op_handle, status, sim_->Now(), nullptr);
+    return;
   }
-  pending.last_completion = std::max(pending.last_completion, completion);
-  pending.status = Worse(pending.status, status);
-  MIMDRAID_CHECK_GT(pending.remaining, 0u);
-  if (--pending.remaining == 0) {
-    IoResult out;
-    out.status = pending.status == IoStatus::kOk ? IoStatus::kOk
-                                                 : IoStatus::kUnrecoverable;
-    out.completion_us = pending.last_completion;
-    out.recovery_attempts = pending.recovery_attempts;
-    if (out.status == IoStatus::kOk) {
-      if (pending.op == DiskOp::kRead) {
-        ++stats_.reads_completed;
-      } else {
-        ++stats_.writes_completed;
-      }
-    } else {
-      ++fstats().unrecoverable_completions;
-    }
-    if (collector_ != nullptr) {
-      collector_->OnRequestComplete(op_id, out.status, out.completion_us,
-                                    out.recovery_attempts,
-                                    pending.has_leg ? &pending.leg : nullptr);
-    }
-    DoneFn done = std::move(pending.done);
-    ops_.erase(it);
-    if (done) {
-      done(out);
-    }
-  }
+  // Parity sub-ops have no single queue timestamp for the logical request,
+  // so the leg's entry arrival is the disk start: queue_us reads 0 and
+  // everything before the final leg (RMW read phases, decode reads,
+  // queueing) lands in the recovery residual.
+  const FinalLeg leg = LegOf(last->start_us, *last);
+  ops_.PartDone(op_handle, status, last->completion_us, &leg);
 }
 
-void EcController::CompleteFragmentFailed(uint64_t op_id, IoStatus status) {
-  drives_->CompleteDeferred(
-      [this, op_id, status] { OpPartDone(op_id, sim_->Now(), status); });
-}
-
-void EcController::NoteOpRecovery(uint64_t op_id) {
-  auto it = ops_.find(op_id);
-  if (it != ops_.end()) {
-    ++it->second.recovery_attempts;
-  }
+void EcController::CompleteFragmentFailed(uint64_t op_handle) {
+  drives_->CompleteDeferred([this, op_handle] {
+    ops_.PartDone(op_handle, IoStatus::kUnrecoverable, sim_->Now(), nullptr);
+  });
 }
 
 void EcController::Rebuild(SlotId disk, DoneFn done) {
@@ -774,27 +716,28 @@ void EcController::RebuildNextRow() {
       positions.push_back(layout_->PositionOfDisk(row, d));
     }
     MIMDRAID_CHECK(codec_->CanDecodeFrom(positions));
-    auto remaining = std::make_shared<int>(static_cast<int>(cols.size()));
-    auto lost = std::make_shared<bool>(false);
-    auto column_died = std::make_shared<bool>(false);
-    auto after_reads = [this, disk, lba, unit, remaining, lost,
-                        column_died](const DiskOpResult& r, uint64_t id) {
+    // The previous row's reads have all come back before the next starts.
+    MIMDRAID_CHECK_EQ(rebuild_row_.reads_remaining, 0);
+    rebuild_row_ = RebuildRow{};
+    rebuild_row_.reads_remaining = static_cast<int>(cols.size());
+    auto after_reads = [this, disk, lba, unit](const DiskOpResult& r,
+                                               uint64_t id) {
       if (!r.ok()) {
         drives_->ResolveFault(id, FaultResolution::kSurfaced,
                               r.status == IoStatus::kDiskFailed);
-        *lost = true;
+        rebuild_row_.lost = true;
         if (r.status == IoStatus::kDiskFailed) {
-          *column_died = true;
+          rebuild_row_.column_died = true;
         }
       }
-      if (--*remaining > 0) {
+      if (--rebuild_row_.reads_remaining > 0) {
         return;
       }
       if (drives_->failed(SlotId(disk))) {
         AbortRebuild(disk);
         return;
       }
-      if (*column_died) {
+      if (rebuild_row_.column_died) {
         // A decode column fail-stopped mid-row. The engine has already
         // marked it failed, so the readable set shrank: re-plan the same
         // row through the survivors — with m > 1 it may still decode.
@@ -802,7 +745,7 @@ void EcController::RebuildNextRow() {
         RebuildNextRow();
         return;
       }
-      if (*lost) {
+      if (rebuild_row_.lost) {
         ++fstats().rebuild_fragments_lost;
         ++rebuild_rows_lost_;
         ++rebuilt_rows_;

@@ -34,9 +34,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/access_predictor.h"
@@ -45,6 +43,7 @@
 #include "src/ec/gf256.h"
 #include "src/io/array_backend.h"
 #include "src/io/drive_set.h"
+#include "src/io/op_tracker.h"
 #include "src/obs/trace_collector.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/auditor.h"
@@ -52,38 +51,9 @@
 #include "src/sim/io_status.h"
 #include "src/sim/simulator.h"
 #include "src/stats/fault_stats.h"
+#include "src/util/handle_slab.h"
 
 namespace mimdraid {
-
-struct EcControllerOptions {
-  SchedulerKind scheduler = SchedulerKind::kSatf;
-  size_t max_scan = 0;
-  // Debug tripwire: when set, the controller wires this runtime invariant
-  // auditor into the simulator, every disk, and every per-drive scheduler.
-  // Borrowed; must outlive the controller. Observes only.
-  InvariantAuditor* auditor = nullptr;
-  // Optional fault injection: wired into every disk so media accesses can
-  // fail. nullptr leaves the fault path dormant (every access returns kOk).
-  FaultInjector* fault_injector = nullptr;
-  // Optional observability: wired into every disk; the controller reports
-  // request lifecycle, queue depth, and dispatch prediction error to it.
-  // Borrowed; must outlive the controller. Observes only.
-  TraceCollector* collector = nullptr;
-  // Bounded retry with exponential backoff for transient errors and timeouts
-  // on individual disk commands.
-  RetryPolicy retry;
-  // Consecutive-error budget per disk before the engine declares the drive
-  // failed and promotes a hot spare (0 = never auto-fail on errors; an
-  // explicit kDiskFailed status always auto-fails).
-  uint32_t disk_error_fail_threshold = 0;
-  // Period of the background scrubber (0 = off). Each tick that finds the
-  // array otherwise idle reads every usable unit of the next stripe row; a
-  // media error triggers a repair-rewrite of the unit (the data is logically
-  // reconstructible from the row peers read in the same pass).
-  SimDuration scrub_interval_us;
-  // Whether scrub ticks defer to foreground activity or fire every period.
-  ScrubGating scrub_gating = ScrubGating::kIdleGated;
-};
 
 struct EcControllerStats {
   uint64_t reads_completed = 0;
@@ -104,11 +74,12 @@ class EcController : public ArrayBackend, private DriveSetClient {
 
   // `codec` and `layout` are borrowed and must outlive the controller;
   // codec->n() must equal layout->num_disks() and codec->k() the layout's
-  // data_shards().
+  // data_shards(). `options` configure the engine; the policy itself has no
+  // settings.
   EcController(Simulator* sim, std::vector<SimDisk*> disks,
                std::vector<AccessPredictor*> predictors,
                const EcLayout* layout, const EcCodec* codec,
-               const EcControllerOptions& options);
+               const DriveSetOptions& options);
 
   EcController(const EcController&) = delete;
   EcController& operator=(const EcController&) = delete;
@@ -149,9 +120,6 @@ class EcController : public ArrayBackend, private DriveSetClient {
   const FaultRecoveryStats& fault_stats() const override {
     return drives_->fstats();
   }
-  uint64_t disk_error_count(SlotId disk) const {
-    return drives_->error_count(disk);
-  }
   const EcLayout& layout() const { return *layout_; }
   const EcCodec& codec() const { return *codec_; }
   bool Idle() const override;
@@ -162,50 +130,41 @@ class EcController : public ArrayBackend, private DriveSetClient {
 
   void StopScrub() override { drives_->StopScrub(); }
   void StartScrub() override { drives_->StartScrub(); }
-  uint64_t scrub_sweeps_completed() const {
-    return drives_->fstats().scrub_sweeps_completed;
-  }
 
   void AuditQuiescent() const override;
 
  private:
-  struct PendingOp {
-    uint32_t remaining = 0;
-    DoneFn done;
-    SimTime last_completion;
-    DiskOp op = DiskOp::kRead;
-    // Worst status across the op's fragments; only kOk or kUnrecoverable is
-    // surfaced to the submitter.
-    IoStatus status = IoStatus::kOk;
-    uint32_t recovery_attempts = 0;
-    // Decomposition of the sub-op whose completion is last_completion (the
-    // one that completes the request). Parity sub-ops have no single queue
-    // timestamp for the logical request, so entry_arrival_us is the disk
-    // start: queue_us reads 0 and everything before the final leg (RMW read
-    // phases, decode reads, queueing) lands in the recovery residual.
-    bool has_leg = false;
-    FinalLeg leg;
-  };
+  // Test access to the fragment slab (tests/fault_injection_test.cc).
+  friend class EcControllerTestPeer;
 
-  // One logical fragment moving through its phases (reads, then writes).
-  // Owned by shared_ptr because several disk sub-ops reference it.
+  // One plan of one logical fragment moving through its phases (reads, then
+  // writes). Held in frags_ and named by a slab handle that every sub-op
+  // closure of the plan carries. A re-plan (disk failure or media-error
+  // fallback) releases the handle and plans afresh under a new one, so the
+  // old plan's sub-ops still in flight find nothing when they complete.
   struct FragWork {
-    uint64_t op_id = 0;
+    uint64_t op_handle = 0;  // the owning op in ops_
     EcFragment frag;
     DiskOp op = DiskOp::kRead;
-    int phase_remaining = 0;
-    bool degraded = false;
-    // Set when the fragment was re-planned (disk failure or media-error
-    // fallback); stale sub-op completions for an abandoned plan are ignored.
-    bool abandoned = false;
+    int phase_remaining = 0;  // read-phase sub-ops still out
+    int writes_remaining = 0;  // write-phase sub-ops still out
     // Plan as if the data disk's old contents were unreadable (a media error
     // exhausted its retry budget).
     bool force_degraded = false;
     // After a media-error read is served via reconstruction, rewrite the bad
     // sectors so the drive reallocates them.
     bool repair_pending = false;
-    // Worst verdict across the fragment's sub-operations.
+    // kOk, or kUnrecoverable once a sub-op's loss cannot be planned around.
     IoStatus status = IoStatus::kOk;
+  };
+
+  // The rebuild row in flight: its decode reads still out and what they saw.
+  // A pass rebuilds one row at a time and passes run one at a time, so one
+  // record serves every row.
+  struct RebuildRow {
+    int reads_remaining = 0;
+    bool lost = false;         // a decode read failed
+    bool column_died = false;  // ... because its drive fail-stopped
   };
 
   struct QueuedRebuild {
@@ -227,23 +186,33 @@ class EcController : public ArrayBackend, private DriveSetClient {
   // One scrub chunk: reads every usable unit of the next stripe row.
   void ScrubStep() override;
 
-  void SubmitReadFragment(uint64_t op_id, const EcFragment& frag,
+  void SubmitReadFragment(uint64_t op_handle, const EcFragment& frag,
                           bool force_degraded = false,
                           bool repair_on_success = false);
-  void SubmitWriteFragment(uint64_t op_id, const EcFragment& frag,
+  void SubmitWriteFragment(uint64_t op_handle, const EcFragment& frag,
                            bool force_degraded = false);
+  // Claims a fresh plan record for one fragment of `op_handle`.
+  uint64_t NewPlan(uint64_t op_handle, const EcFragment& frag, DiskOp op,
+                   bool force_degraded, int phase_remaining);
+  // A sub-op of a released plan completed: closes its fault record, if any.
+  void DropStaleResult(const DiskOpResult& r, uint64_t id);
+  // Releases `key`'s plan and plans the fragment again (counted as a
+  // recovery attempt of its op).
+  void Replan(uint64_t key, bool force_degraded, bool repair_on_success);
   // Queues one sub-op on the foreground queue with bounded retry. `done` is
   // any `void(const DiskOpResult&, uint64_t id)` callable; taking it by type
   // keeps the retry wrapper inside CommandDoneFn's inline buffer.
   template <typename Fn>
   void EnqueueDiskOp(uint32_t disk, DiskOp op, uint64_t lba, uint32_t sectors,
                      Fn done, uint32_t attempts = 0);
-  void FragmentPhaseDone(const std::shared_ptr<FragWork>& work,
-                         SimTime completion, const DiskOpResult* last = nullptr);
-  void OpPartDone(uint64_t op_id, SimTime completion, IoStatus status,
-                  const DiskOpResult* last = nullptr);
-  void CompleteFragmentFailed(uint64_t op_id, IoStatus status);
-  void NoteOpRecovery(uint64_t op_id);
+  void FragmentPhaseDone(uint64_t key, FragWork& work,
+                         const DiskOpResult* last = nullptr);
+  // Releases `key`'s plan and finishes its part of the op; `last` is the
+  // sub-op that finished it, nullptr when none did.
+  void FinishFragment(uint64_t key, const DiskOpResult* last);
+  // Finishes a fragment no plan can serve: its part of the op completes
+  // kUnrecoverable at the next event-queue turn.
+  void CompleteFragmentFailed(uint64_t op_handle);
 
   void StartRebuild(SlotId disk, DoneFn done);
   void FinishRebuild(IoStatus status);
@@ -266,14 +235,12 @@ class EcController : public ArrayBackend, private DriveSetClient {
   Simulator* sim_;
   const EcLayout* layout_;
   const EcCodec* codec_;
-  EcControllerOptions options_;
   InvariantAuditor* auditor_ = nullptr;
-  TraceCollector* collector_ = nullptr;
 
   std::unique_ptr<DriveSet> drives_;
-
-  std::unordered_map<uint64_t, PendingOp> ops_;
-  uint64_t next_op_id_ = 1;
+  // Logical ops in flight; each fragment is one part.
+  OpTracker ops_;
+  HandleSlab<FragWork> frags_;
 
   // Active rebuild: rows < rebuilt_rows_ of rebuilding_disk_ are valid.
   int rebuilding_disk_ = -1;
@@ -284,10 +251,9 @@ class EcController : public ArrayBackend, private DriveSetClient {
   // failed (their promoted spare holds no data yet), so service keeps
   // decoding around them until their pass starts.
   std::deque<QueuedRebuild> rebuild_queue_;
+  RebuildRow rebuild_row_;
 
   uint32_t scrub_cursor_ = 0;  // next stripe row to sweep
-  uint64_t sweep_sectors_issued_ = 0;
-  uint64_t sweep_sectors_nominal_ = 0;
 
   EcControllerStats stats_;
 };

@@ -62,6 +62,17 @@ void DriveSet::StopScrub() {
   }
 }
 
+void DriveSet::EndScrubSweep() {
+  ++fstats_.scrub_sweeps_completed;
+  fstats_.scrub_last_sweep_coverage =
+      sweep_sectors_nominal_ == 0
+          ? 0.0
+          : static_cast<double>(sweep_sectors_issued_) /
+                static_cast<double>(sweep_sectors_nominal_);
+  sweep_sectors_issued_ = 0;
+  sweep_sectors_nominal_ = 0;
+}
+
 void DriveSet::AddSpare(SimDisk* disk, AccessPredictor* predictor) {
   MIMDRAID_CHECK(disk != nullptr);
   MIMDRAID_CHECK(predictor != nullptr);

@@ -76,7 +76,8 @@ struct DriveSetOptions {
   FaultInjector* fault_injector = nullptr;
   TraceCollector* collector = nullptr;
   // Bounded retry with exponential backoff: the backoff of the recovery
-  // timers (ScheduleRecovery) policies arm for their own retries.
+  // timers (ScheduleRecovery) policies arm for their own retries, and the
+  // attempt bound of whichever retries a policy bounds.
   RetryPolicy retry;
   // Consecutive-error budget per slot before the engine declares the drive
   // failed and promotes a hot spare (0 = never auto-fail on error count; an
@@ -285,6 +286,19 @@ class DriveSet {
   void StartScrub();
   // Cancels the periodic scrub timer (in-flight scrub work drains normally).
   void StopScrub();
+  // Sweep coverage for the policy's ScrubStep: each read a fully live array
+  // would issue this sweep is tallied with its `sectors`, and `issued` when
+  // its target was usable and the read went out. EndScrubSweep, called when
+  // the policy's cursor wraps, counts the sweep, records issued / nominal
+  // sectors in fstats().scrub_last_sweep_coverage, and starts the next
+  // sweep's tallies.
+  void TallyScrubRead(uint32_t sectors, bool issued) {
+    sweep_sectors_nominal_ += sectors;
+    if (issued) {
+      sweep_sectors_issued_ += sectors;
+    }
+  }
+  void EndScrubSweep();
 
  private:
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
@@ -332,6 +346,8 @@ class DriveSet {
   std::vector<SpareEntry> spares_;
   size_t pending_recovery_ = 0;
   EventId scrub_event_;
+  uint64_t sweep_sectors_issued_ = 0;
+  uint64_t sweep_sectors_nominal_ = 0;
 
   FaultRecoveryStats fstats_;
 };

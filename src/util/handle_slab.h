@@ -1,7 +1,7 @@
 // Free-list slab addressed by generation-tagged handles.
 //
-// The mirror controller keeps one record per logical op and per fragment
-// for the few milliseconds of simulated time each is in flight. A hash map
+// The array backends keep one record per logical op and per fragment for
+// the few milliseconds of simulated time each is in flight. A hash map
 // keyed by a running counter paid a node allocation and a hash lookup per
 // record; the slab pays neither once it covers the peak number of live
 // records. Slots are recycled LIFO and keep whatever capacity their vectors

@@ -195,10 +195,10 @@ class Harness {
       pptr.push_back(predictors_[i].get());
     }
     ArrayControllerOptions copts;
-    copts.scheduler = shape.scheduler;
+    copts.engine.scheduler = shape.scheduler;
     copts.foreground_write_propagation = shape.foreground;
-    copts.collector = &collector_;
-    copts.auditor = &auditor_;
+    copts.engine.collector = &collector_;
+    copts.engine.auditor = &auditor_;
     controller_ = std::make_unique<ArrayController>(&sim_, dptr, pptr,
                                                     layout_.get(), copts);
     model_ = std::make_unique<RescanModel>(layout_.get());

@@ -148,7 +148,7 @@ size_t Arrivals(const TraceCollector& collector) {
 TEST(Controller, ReadSpanningTwoWritesWakesAfterTheSecondLands) {
   TraceCollector collector;
   ArrayControllerOptions copts;
-  copts.collector = &collector;
+  copts.engine.collector = &collector;
   Rig rig(2, 1, 1, copts);
   int writes_done = 0;
   SimTime last_write(-1);
@@ -182,7 +182,7 @@ TEST(Controller, ReadSpanningTwoWritesWakesAfterTheSecondLands) {
 TEST(Controller, ReadsParkedBehindOneWriteResubmitInParkOrder) {
   TraceCollector collector;
   ArrayControllerOptions copts;
-  copts.collector = &collector;
+  copts.engine.collector = &collector;
   Rig rig(1, 1, 1, copts);
   rig.controller->Submit(DiskOp::kWrite, 0, 16, [](const IoResult&) {});
   // The reads first block on sectors 0, 8 and 4: the wake reaches them in
@@ -206,7 +206,7 @@ TEST(Controller, ReadsParkedBehindOneWriteResubmitInParkOrder) {
 TEST(Controller, WriteSubmittedFromCallbackReblocksWaitingRead) {
   TraceCollector collector;
   ArrayControllerOptions copts;
-  copts.collector = &collector;
+  copts.engine.collector = &collector;
   Rig rig(1, 1, 1, copts);
   bool first_done = false;
   SimTime second_write(-1);
@@ -236,7 +236,7 @@ TEST(Controller, WriteSubmittedFromCallbackReblocksWaitingRead) {
 TEST(Controller, UnrecoverableWriteFragmentReleasesItsWaiters) {
   FaultInjector injector(FaultInjectorOptions{});
   ArrayControllerOptions copts;
-  copts.fault_injector = &injector;
+  copts.engine.fault_injector = &injector;
   Rig rig(1, 1, 1, copts);
   injector.FailStop(0);
   IoResult write_result;

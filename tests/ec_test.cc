@@ -9,12 +9,16 @@
 // sim moves no user bytes; it moves the codec's plans).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/mimd_raid.h"
 #include "src/obs/stats_registry.h"
+#include "src/obs/trace_collector.h"
 #include "src/util/rng.h"
 
 namespace mimdraid {
@@ -460,6 +464,238 @@ TEST(EcControllerTest, ExportStatsPublishesStrategyCounters) {
   EXPECT_TRUE(registry.Contains("ec.degraded_reads"));
   EXPECT_TRUE(registry.Contains("ec.rebuilt_rows"));
   EXPECT_TRUE(registry.Contains("fault.retries_issued"));
+}
+
+
+// ---------------------------------------------------------------------------
+// Op-stream digests: what every member drive of a 4+2 kErasure array is
+// asked to do, pinned exactly. Each slot's (start, op, lba, sectors) command
+// stream is hashed, plus one digest over the fault-recovery summary and the
+// controller's counters, over four scenarios that run the fragment re-plan
+// paths: a healthy mix, a media-error pre-image read that forces a
+// reconstruct-write re-plan, a fail-stop in the middle of read-modify-writes
+// with a second concurrent loss, and a rebuild whose decode column dies
+// mid-row.
+// ---------------------------------------------------------------------------
+
+void MixDigest(uint64_t* h, uint64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    *h ^= (value >> (8 * b)) & 0xffu;
+    *h *= 1099511628211ull;
+  }
+}
+
+// FNV-1a over each slot's command stream in issue order, then one more
+// digest over the fault-recovery summary and the controller's counters.
+std::vector<uint64_t> EcDigests(MimdRaid* array,
+                                const TraceCollector& collector) {
+  const size_t slots = array->num_disks();
+  std::vector<uint64_t> digests(slots + 1, 14695981039346656037ull);
+  for (const DiskOpRecord& rec : collector.disk_ops()) {
+    EXPECT_LT(rec.slot, slots);
+    if (rec.slot >= slots) {
+      continue;
+    }
+    uint64_t* h = &digests[rec.slot];
+    MixDigest(h, static_cast<uint64_t>(rec.start_us.us()));
+    MixDigest(h, rec.is_write ? 1u : 0u);
+    MixDigest(h, rec.lba);
+    MixDigest(h, rec.sectors);
+  }
+  uint64_t* h = &digests[slots];
+  for (const char c : array->backend().fault_stats().Summary()) {
+    MixDigest(h, static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  const EcControllerStats& s = array->ec().stats();
+  for (const uint64_t v :
+       {s.reads_completed, s.writes_completed, s.rmw_writes,
+        s.reconstruct_writes, s.degraded_reads, s.degraded_writes,
+        s.rebuilt_rows}) {
+    MixDigest(h, v);
+  }
+  return digests;
+}
+
+std::string FormatEcDigests(const std::vector<uint64_t>& digests) {
+  std::string out;
+  for (const uint64_t d : digests) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%016llxull, ",
+                  static_cast<unsigned long long>(d));
+    out += buf;
+  }
+  return out;
+}
+
+std::unique_ptr<MimdRaid> MakeTracedEc(TraceCollector* collector,
+                                       uint32_t hot_spares) {
+  MimdRaidOptions options;
+  options.backend = ArrayBackendKind::kErasure;
+  options.aspect.ds = 6;
+  options.aspect.dr = 1;
+  options.aspect.dm = 1;
+  options.parity_shards = 2;
+  options.scheduler = SchedulerKind::kSatf;
+  options.dataset_sectors = 2400;
+  options.stripe_unit_sectors = 16;
+  options.geometry = MakeTestGeometry();
+  options.profile = MakeTestSeekProfile();
+  options.seed = 23;
+  options.enable_fault_injection = true;
+  options.fault.seed = 23;
+  options.hot_spares = hot_spares;
+  options.collector = collector;
+  return std::make_unique<MimdRaid>(options);
+}
+
+// Submits `ops` reads and writes of 1-24 sectors at random offsets (some
+// crossing a unit boundary), with idle gaps between some submissions. Each
+// completion counts in `done`; one that surfaced kUnrecoverable also counts
+// in `lost`.
+void SubmitEcMix(MimdRaid* array, int ops, uint64_t seed, int* done,
+                 int* lost) {
+  Rng rng(seed);
+  const uint64_t capacity = array->backend().dataset_sectors();
+  for (int i = 0; i < ops; ++i) {
+    const DiskOp op = rng.Bernoulli(0.6) ? DiskOp::kWrite : DiskOp::kRead;
+    const uint32_t sectors = 1 + static_cast<uint32_t>(rng.UniformU64(24));
+    const uint64_t lba = rng.UniformU64(capacity - sectors);
+    array->backend().Submit(op, lba, sectors, [done, lost](const IoResult& r) {
+      if (r.status != IoStatus::kOk) {
+        EXPECT_EQ(r.status, IoStatus::kUnrecoverable);
+        ++*lost;
+      }
+      ++*done;
+    });
+    if (rng.Bernoulli(0.3)) {
+      array->sim().RunUntil(
+          array->sim().Now() +
+          SimDuration(static_cast<int64_t>(rng.UniformU64(6'000))));
+    }
+  }
+}
+
+void PumpEc(MimdRaid* array, const std::function<bool()>& finished) {
+  uint64_t steps = 0;
+  while (!finished()) {
+    ASSERT_TRUE(array->sim().Step()) << "simulator ran dry";
+    ASSERT_LT(++steps, kStepBudget) << "wedged";
+  }
+}
+
+TEST(EcOpStream, DigestsMatchRecordedStreams) {
+  std::vector<std::vector<uint64_t>> got;
+
+  {  // (a) Healthy mixed workload.
+    TraceCollector collector;
+    auto array = MakeTracedEc(&collector, 0);
+    int done = 0;
+    int lost = 0;
+    SubmitEcMix(array.get(), 300, 701, &done, &lost);
+    PumpEc(array.get(), [&] { return done == 300; });
+    Drain(array.get());
+    EXPECT_EQ(lost, 0);
+    got.push_back(EcDigests(array.get(), collector));
+  }
+  {  // (b) Media errors under the data units of unit-aligned writes: each
+     // read-modify-write's pre-image read fails past its retry budget and
+     // the fragment re-plans as a reconstruct-write around the old data.
+    TraceCollector collector;
+    auto array = MakeTracedEc(&collector, 0);
+    const uint64_t lbas[] = {0, 160, 512, 1040, 1600};
+    for (const uint64_t lba : lbas) {
+      const EcFragment f = array->ec_layout().Map(lba, 8).front();
+      array->fault_injector()->InjectLatentError(f.data_disk, f.disk_lba);
+    }
+    int done = 0;
+    for (const uint64_t lba : lbas) {
+      array->backend().Submit(DiskOp::kWrite, lba, 8,
+                              [&done](const IoResult& r) {
+                                EXPECT_EQ(r.status, IoStatus::kOk);
+                                ++done;
+                              });
+    }
+    PumpEc(array.get(), [&] { return done == 5; });
+    Drain(array.get());
+    EXPECT_GE(array->backend().fault_stats().failovers, 5u);
+    EXPECT_GE(array->ec().stats().reconstruct_writes, 5u);
+    got.push_back(EcDigests(array.get(), collector));
+  }
+  {  // (c) A fail-stop in the middle of read-modify-writes, then a second
+     // concurrent loss while the first is still being planned around.
+    TraceCollector collector;
+    auto array = MakeTracedEc(&collector, 0);
+    int done = 0;
+    int lost = 0;
+    SubmitEcMix(array.get(), 40, 702, &done, &lost);
+    array->fault_injector()->FailStop(2);
+    SubmitEcMix(array.get(), 40, 703, &done, &lost);
+    array->fault_injector()->FailStop(4);
+    SubmitEcMix(array.get(), 120, 704, &done, &lost);
+    PumpEc(array.get(), [&] { return done == 200; });
+    Drain(array.get());
+    // Degraded reads still decoding through column 4 when it died surface
+    // the loss (a decode read's fault is not re-planned).
+    EXPECT_EQ(lost, 3);
+    EXPECT_EQ(array->backend().fault_stats().auto_disk_failures, 2u);
+    EXPECT_TRUE(array->backend().IsFailed(SlotId(2)));
+    EXPECT_TRUE(array->backend().IsFailed(SlotId(4)));
+    got.push_back(EcDigests(array.get(), collector));
+  }
+  {  // (d) A rebuild under traffic whose decode column fail-stops mid-row:
+     // the row re-plans through the survivors and the pass completes.
+    TraceCollector collector;
+    auto array = MakeTracedEc(&collector, 0);
+    ASSERT_TRUE(array->backend().FailDisk(SlotId(1)));
+    int done = 0;
+    int lost = 0;
+    SubmitEcMix(array.get(), 30, 705, &done, &lost);
+    PumpEc(array.get(), [&] { return done == 30; });
+    IoStatus rebuild_status = IoStatus::kTimeout;
+    bool rebuilt = false;
+    array->backend().Rebuild(SlotId(1), [&](const IoResult& r) {
+      rebuild_status = r.status;
+      rebuilt = true;
+    });
+    array->sim().RunUntil(array->sim().Now() + SimDuration(20'000));
+    ASSERT_TRUE(array->backend().RebuildInProgress());
+    // Column 0 decodes every row of slot 1's pass; its next rebuild read is
+    // the first access to see the fail-stop.
+    array->fault_injector()->FailStop(0);
+    PumpEc(array.get(), [&] {
+      return array->backend().fault_stats().auto_disk_failures == 1;
+    });
+    SubmitEcMix(array.get(), 60, 706, &done, &lost);
+    PumpEc(array.get(), [&] { return done == 90 && rebuilt; });
+    Drain(array.get());
+    EXPECT_EQ(lost, 0);
+    EXPECT_EQ(rebuild_status, IoStatus::kOk);
+    EXPECT_FALSE(array->backend().IsFailed(SlotId(1)));
+    EXPECT_TRUE(array->backend().IsFailed(SlotId(0)));
+    got.push_back(EcDigests(array.get(), collector));
+  }
+
+  const std::vector<std::vector<uint64_t>> want = {
+      {0x87180436e91d1e40ull, 0x537e748d8a791ac5ull, 0x4a78b9c8cc4f9233ull,
+       0x96c93d8397509a1full, 0x8c5c96346033d8beull, 0xa8cf643096453bafull,
+       0x62b52fe7ac5d0611ull},
+      {0xbb433b4197479c7eull, 0xb9bdff92b24dbb55ull, 0x32de99a9aba79ab5ull,
+       0x824eda03044128e8ull, 0x359201ddd17bb30eull, 0xfd7864b5c813e29bull,
+       0xff3c5d8e54fef18dull},
+      {0xf45d88a5ceb53ff5ull, 0x08db77f470b23022ull, 0xff91a06c974fcebcull,
+       0xeb20ff965490fc9dull, 0xbe6b62ee0b3348d6ull, 0x4957ffc2bc1a7353ull,
+       0x4cead3b33311eff1ull},
+      {0x99733b4b8faaec5eull, 0x24ea4d2c733bc1cdull, 0x39e083e6070d6c0bull,
+       0xb5d4662dfd2aed62ull, 0xb8cf3794216d7532ull, 0x67eaf7fd056d5d29ull,
+       0x5b5fb32552ace8eeull},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  const char* const names[] = {"mixed", "media-error re-plan",
+                               "fail-stop mid-RMW", "rebuild column loss"};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << names[i] << " got {"
+                               << FormatEcDigests(got[i]) << "}";
+  }
 }
 
 }  // namespace

@@ -268,9 +268,9 @@ struct ArrayRig {
     layout = std::make_unique<ArrayLayout>(&disks[0]->layout(), aspect, 16,
                                            dataset);
     ArrayControllerOptions copts;
-    copts.fault_injector = &injector;
-    copts.disk_error_fail_threshold = fail_threshold;
-    copts.scrub_interval_us = scrub_interval_us;
+    copts.engine.fault_injector = &injector;
+    copts.engine.disk_error_fail_threshold = fail_threshold;
+    copts.engine.scrub_interval_us = scrub_interval_us;
     controller = std::make_unique<ArrayController>(&sim, dptr, pptr,
                                                    layout.get(), copts);
     for (uint32_t s = 0; s < spares; ++s) {
@@ -511,6 +511,47 @@ TEST(ArrayRecovery, ErrorThresholdAutoFailsAndPromotesHotSpare) {
               IoStatus::kOk);
   }
   rig.Drain();
+}
+
+TEST(ArrayRecovery, PromotionSurvivesRemapAtTheEndOfTheUsedSpan) {
+  // The slot's used span ends at the last sector of its last group track.
+  // A write reallocation of exactly that sector turns its slot into a hole
+  // in the drive's layout; the spare-compatibility check at promotion must
+  // still measure the span, not abort on the hole.
+  ArrayRig rig(1, 1, 2, FaultInjectorOptions{}, /*fail_threshold=*/0,
+               /*scrub_interval_us=*/SimDuration(0), /*spares=*/1,
+               /*dataset=*/800);
+  const SrDiskPlacement& placement = rig.layout->placement_for(0);
+  const uint64_t span =
+      placement.PhysicalSpanSectors(rig.layout->column_sectors(0));
+  const uint64_t last = span - 1;
+  rig.injector.InjectLatentError(0, last);
+  bool written = false;
+  rig.disks[0]->Start(DiskOp::kWrite, BlockAddr(last), 1,
+                      [&](const DiskOpResult& r) {
+                        EXPECT_TRUE(r.ok());
+                        written = true;
+                      });
+  while (!written) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  ASSERT_TRUE(rig.disks[0]->layout().IsRemapped(last));
+
+  rig.injector.FailStop(0);
+  Rng rng(23);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(rig.Do(DiskOp::kRead, rng.UniformU64(800 - 8), 8).status,
+              IoStatus::kOk);
+  }
+  rig.Drain();
+  const FaultRecoveryStats& fs = rig.controller->fault_stats();
+  EXPECT_EQ(fs.auto_disk_failures, 1u);
+  EXPECT_EQ(fs.spares_promoted, 1u);
+  EXPECT_EQ(fs.spare_rebuilds_completed, 1u);
+  EXPECT_FALSE(rig.controller->IsFailed(SlotId(0)));
+  // The failed drive's span still ends where it did before the remap.
+  EXPECT_EQ(placement.PhysicalSpanSectors(rig.layout->column_sectors(0)),
+            span);
 }
 
 TEST(ArrayRecovery, FailStopDiskIsDetectedAndReplaced) {
@@ -957,7 +998,7 @@ struct Raid5Rig {
       dptr.push_back(sim_disks.back().get());
       pptr.push_back(preds.back().get());
     }
-    EcControllerOptions copts;
+    DriveSetOptions copts;
     copts.fault_injector = &injector;
     controller = std::make_unique<EcController>(&sim, dptr, pptr, &layout,
                                                 &codec, copts);
@@ -991,6 +1032,67 @@ struct Raid5Rig {
   std::vector<AccessPredictor*> pptr;
   std::unique_ptr<EcController> controller;
 };
+
+}  // namespace
+
+// Reaches into the erasure controller's plan slab (a friend of
+// EcController).
+class EcControllerTestPeer {
+ public:
+  static std::vector<uint64_t> LivePlans(const EcController& c) {
+    std::vector<uint64_t> keys;
+    c.frags_.ForEachLive([&](uint64_t key) { keys.push_back(key); });
+    return keys;
+  }
+};
+
+namespace {
+
+TEST(Raid5Recovery, StaleSubOpLeavesReplannedFragmentAlone) {
+  Raid5Rig rig;
+  const EcFragment frag = rig.layout.Map(0, 8)[0];
+  const uint32_t parity = rig.layout.ParityDiskOf(frag.row, 0);
+  // A read-modify-write whose data pre-image is unreadable for good, and
+  // whose old-parity read sits on a fail-slow drive: the fragment re-plans
+  // as a reconstruct-write while the parity read is still out.
+  rig.injector.InjectLatentError(frag.data_disk, frag.disk_lba);
+  rig.injector.SetFailSlow(parity, 50.0);
+  IoResult out;
+  bool done = false;
+  rig.controller->Submit(DiskOp::kWrite, 0, 8, [&](const IoResult& r) {
+    out = r;
+    done = true;
+  });
+  const std::vector<uint64_t> first =
+      EcControllerTestPeer::LivePlans(*rig.controller);
+  ASSERT_EQ(first.size(), 1u);
+  while (rig.controller->fault_stats().failovers == 0) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  const std::vector<uint64_t> replanned =
+      EcControllerTestPeer::LivePlans(*rig.controller);
+  ASSERT_EQ(replanned.size(), 1u);
+  EXPECT_EQ(static_cast<uint32_t>(replanned[0]),
+            static_cast<uint32_t>(first[0]))
+      << "the new plan should reuse the abandoned plan's slot";
+  EXPECT_NE(replanned[0], first[0]);
+  EXPECT_TRUE(rig.sim_disks[parity]->busy())
+      << "the old plan's parity read should still be out";
+  while (!done) {
+    ASSERT_TRUE(rig.sim.Step());
+  }
+  rig.Drain();
+  // The stale parity read completed into the reused slot and changed
+  // nothing: the write finished once, on its reconstruct-write plan.
+  EXPECT_EQ(out.status, IoStatus::kOk);
+  EXPECT_EQ(out.recovery_attempts, 1u);
+  EXPECT_EQ(rig.controller->stats().rmw_writes, 1u);
+  EXPECT_EQ(rig.controller->stats().reconstruct_writes, 1u);
+  EXPECT_EQ(rig.controller->stats().writes_completed, 1u);
+  // Old parity read + new parity write; one read on each sibling data unit.
+  EXPECT_EQ(rig.sim_disks[parity]->ops_completed(), 2u);
+  EXPECT_TRUE(rig.controller->Idle());
+}
 
 TEST(Raid5Recovery, TransientReadErrorRetriesInPlace) {
   Raid5Rig rig;

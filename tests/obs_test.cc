@@ -157,7 +157,7 @@ TEST(TraceCollector, Raid5RmwWriteBooksEarlierPhasesAsRecovery) {
   const EcLayout layout(4, 3, 16, 2000, EcLayout::Scheme::kRaid5);
   const EcCodec codec(3, 1);
   TraceCollector collector;
-  EcControllerOptions options;
+  DriveSetOptions options;
   options.collector = &collector;
   EcController controller(&sim, dptr, pptr, &layout, &codec, options);
 

@@ -99,8 +99,17 @@ class RefPlacement {
           static_cast<uint32_t>(std::llround(base_angle * e.spt));
       const uint32_t replica_offset = static_cast<uint32_t>(
           static_cast<uint64_t>(r) * e.spt / static_cast<uint64_t>(dr_));
-      return layout_->ToLba(
-          Chs{e.cylinder, head, (sector + replica_offset + shift) % e.spt});
+      // A remapped slot is a hole: the replica takes the next slot that
+      // still maps, cyclically along the track.
+      for (uint32_t step = 0; step < e.spt; ++step) {
+        const uint64_t lba = layout_->ToLba(Chs{
+            e.cylinder, head, (sector + replica_offset + shift + step) % e.spt});
+        if (lba != kInvalidLba) {
+          return lba;
+        }
+      }
+      ADD_FAILURE() << "track entirely remapped";
+      return kInvalidLba;
     }
     const uint32_t head = e.first_head +
                           group * static_cast<uint32_t>(dr_) +
@@ -376,10 +385,13 @@ std::string ModeName(PlacementMode mode) {
 
 // --- Placement ------------------------------------------------------------
 
-void ExpectSamePlacement(const DiskLayout& layout, int dr, PlacementMode mode,
-                         bool exhaustive) {
+// `natural` is `layout` without its remaps (itself when it has none): a
+// remap moves no physical extent, so the span is checked against it.
+void ExpectSamePlacement(const DiskLayout& layout, const DiskLayout& natural,
+                         int dr, PlacementMode mode, bool exhaustive) {
   SCOPED_TRACE("dr=" + std::to_string(dr) + " mode=" + ModeName(mode));
   const RefPlacement ref(&layout, dr, mode);
+  const RefPlacement natural_ref(&natural, dr, mode);
   const SrDiskPlacement p(&layout, dr, mode);
   ASSERT_EQ(p.capacity_sectors(), ref.capacity_sectors());
   std::vector<uint64_t> sectors = ref.EdgeSectors();
@@ -397,21 +409,15 @@ void ExpectSamePlacement(const DiskLayout& layout, int dr, PlacementMode mode,
     ASSERT_EQ(p.ContiguousRun(s), ref.ContiguousRun(s)) << "s=" << s;
     ASSERT_EQ(p.CylinderOf(s), ref.CylinderOf(s)) << "s=" << s;
     ASSERT_EQ(p.CylinderSpan(s + 1), ref.CylinderSpan(s + 1)) << "s=" << s;
-    // The span is defined where the last group track's last sector is a
-    // natural, unremapped LBA (the reference reports 0 otherwise).
-    if (ref.PhysicalSpanSectors(s + 1) != 0) {
-      ASSERT_EQ(p.PhysicalSpanSectors(s + 1), ref.PhysicalSpanSectors(s + 1))
-          << "s=" << s;
-    }
+    ASSERT_EQ(p.PhysicalSpanSectors(s + 1),
+              natural_ref.PhysicalSpanSectors(s + 1))
+        << "s=" << s;
     for (int r = 0; r < dr; ++r) {
       for (const double base : {0.0, 1.0 / (3.0 * dr)}) {
-        // Intra-track placement does not step over remapped holes: both
-        // versions refuse such a slot (the reference reports kInvalidLba).
         const uint64_t want = ref.PhysicalLba(s, r, base);
-        if (want != kInvalidLba) {
-          ASSERT_EQ(p.PhysicalLba(s, r, base), want)
-              << "s=" << s << " r=" << r << " base=" << base;
-        }
+        ASSERT_NE(want, kInvalidLba) << "s=" << s << " r=" << r;
+        ASSERT_EQ(p.PhysicalLba(s, r, base), want)
+            << "s=" << s << " r=" << r << " base=" << base;
       }
     }
   }
@@ -426,26 +432,65 @@ TEST(PlacementDifferential, MatchesPerCylinderTable) {
     for (int dr = 1; dr <= 4; ++dr) {
       {
         SCOPED_TRACE("plain");
-        ExpectSamePlacement(d.plain, dr, mode, /*exhaustive=*/true);
+        ExpectSamePlacement(d.plain, d.plain, dr, mode, /*exhaustive=*/true);
       }
       {
         SCOPED_TRACE("ragged");
-        ExpectSamePlacement(d.ragged, dr, mode, /*exhaustive=*/true);
+        ExpectSamePlacement(d.ragged, d.ragged, dr, mode, /*exhaustive=*/true);
       }
       {
         SCOPED_TRACE("remapped");
-        ExpectSamePlacement(d.remapped, dr, mode, /*exhaustive=*/true);
+        ExpectSamePlacement(d.remapped, d.plain, dr, mode, /*exhaustive=*/true);
       }
       {
         SCOPED_TRACE("larger");
-        ExpectSamePlacement(d.larger, dr, mode, /*exhaustive=*/true);
+        ExpectSamePlacement(d.larger, d.larger, dr, mode, /*exhaustive=*/true);
       }
       {
         SCOPED_TRACE("st39133");
-        ExpectSamePlacement(d.big, dr, mode, /*exhaustive=*/false);
+        ExpectSamePlacement(d.big, d.big, dr, mode, /*exhaustive=*/false);
       }
     }
   }
+}
+
+TEST(PlacementDifferential, IntraTrackStepsOverRemappedSlots) {
+  // On a drive with remapped sectors, every intra-track replica lands on a
+  // valid LBA: where the computed slot still maps, the LBA the unremapped
+  // twin drive gives; where the drive's layout reports a hole, the next slot
+  // along the track that maps.
+  const Drives& d = TheDrives();
+  ASSERT_TRUE(d.remapped.has_remaps());
+  uint64_t holes = 0;
+  for (int dr = 1; dr <= 4; ++dr) {
+    SCOPED_TRACE("dr=" + std::to_string(dr));
+    const SrDiskPlacement p(&d.remapped, dr, PlacementMode::kIntraTrack);
+    const SrDiskPlacement natural(&d.plain, dr, PlacementMode::kIntraTrack);
+    ASSERT_EQ(p.capacity_sectors(), natural.capacity_sectors());
+    for (uint64_t s = 0; s < p.capacity_sectors(); ++s) {
+      for (int r = 0; r < dr; ++r) {
+        const uint64_t want = natural.PhysicalLba(s, r);
+        const uint64_t got = p.PhysicalLba(s, r);
+        ASSERT_NE(got, kInvalidLba) << "s=" << s << " r=" << r;
+        const Chs slot = d.plain.ToChs(want);
+        if (d.remapped.ToLba(slot) != kInvalidLba) {
+          ASSERT_EQ(got, want) << "s=" << s << " r=" << r;
+          continue;
+        }
+        ++holes;
+        // The slot is a hole: the replica takes the first later slot on the
+        // same track that maps.
+        const uint32_t spt = d.plain.geometry().SectorsPerTrack(slot.cylinder);
+        uint64_t next = kInvalidLba;
+        for (uint32_t step = 1; step < spt && next == kInvalidLba; ++step) {
+          next = d.remapped.ToLba(
+              Chs{slot.cylinder, slot.head, (slot.sector + step) % spt});
+        }
+        ASSERT_EQ(got, next) << "s=" << s << " r=" << r;
+      }
+    }
+  }
+  EXPECT_GT(holes, 0u) << "no replica slot fell on a remapped sector";
 }
 
 // --- Map --------------------------------------------------------------------
@@ -569,22 +614,24 @@ TEST(MapDifferential, HomogeneousShapes) {
 }
 
 TEST(MapDifferential, RemappedDrive) {
-  // Cross-track placement steps over remapped holes; intra-track placement
-  // refuses them (in both versions), so only the former maps a remapped
-  // drive.
+  // Both placement modes step over remapped holes.
   const Drives& d = TheDrives();
-  for (int dr = 1; dr <= 4; ++dr) {
-    MapCase c;
-    c.aspect.ds = 1;
-    c.aspect.dr = dr;
-    c.aspect.dm = 2;
-    c.name = "remapped";
-    // Every column's first mirror carries the remaps.
-    for (int g = 0; g < dr; ++g) {
-      c.disks.push_back(&d.remapped);
-      c.disks.push_back(&d.plain);
+  for (const PlacementMode mode :
+       {PlacementMode::kCrossTrack, PlacementMode::kIntraTrack}) {
+    for (int dr = 1; dr <= 4; ++dr) {
+      MapCase c;
+      c.aspect.ds = 1;
+      c.aspect.dr = dr;
+      c.aspect.dm = 2;
+      c.mode = mode;
+      c.name = "remapped";
+      // Every column's first mirror carries the remaps.
+      for (int g = 0; g < dr; ++g) {
+        c.disks.push_back(&d.remapped);
+        c.disks.push_back(&d.plain);
+      }
+      ExpectSameMap(c);
     }
-    ExpectSameMap(c);
   }
 }
 

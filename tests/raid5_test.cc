@@ -112,7 +112,7 @@ struct Rig {
       pptr.push_back(preds.back().get());
     }
     controller = std::make_unique<EcController>(
-        &sim, dptr, pptr, &layout, &codec, EcControllerOptions{});
+        &sim, dptr, pptr, &layout, &codec, DriveSetOptions{});
   }
 
   SimTime Do(DiskOp op, uint64_t lba, uint32_t sectors) {
