@@ -15,12 +15,11 @@ ArrayController::ArrayController(Simulator* sim, std::vector<SimDisk*> disks,
       layout_(layout),
       options_(options),
       auditor_(options.engine.auditor),
-      collector_(options.engine.collector),
       drives_(std::make_unique<DriveSet>(sim, std::move(disks),
                                          std::move(predictors),
                                          static_cast<DriveSetClient*>(this),
                                          options.engine)),
-      ops_(collector_,
+      ops_(options.engine.collector,
            OpTally{&stats_.reads_completed, &stats_.writes_completed,
                    &drives_->fstats().unrecoverable_completions}) {
   MIMDRAID_CHECK(layout != nullptr);
@@ -65,10 +64,11 @@ void ArrayController::AuditQuiescent() const {
   if (auditor_ == nullptr) {
     return;
   }
-  auditor_->CheckQuiescent(drives_->TotalFgQueued(),
-                           drives_->TotalDelayedQueued(), nvram_.size(),
-                           stale_sectors_.size(), inflight_writes_.size(),
-                           parked_.size(), WaiterEntries());
+  auditor_->CheckQuiescent(
+      drives_->TotalQueued(DriveSet::Queue::kForeground),
+      drives_->TotalQueued(DriveSet::Queue::kDelayed), nvram_.size(),
+      stale_sectors_.size(), inflight_writes_.size(), parked_.size(),
+      WaiterEntries());
 }
 
 bool ArrayController::Idle() const {
@@ -253,7 +253,7 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     for (size_t i = 0; i < cand_sets_.size(); ++i) {
       const CandidateSet& set = cand_sets_[i];
       if (drives_->disk(SlotId(set.disk))->busy() ||
-          !drives_->fg(SlotId(set.disk)).empty()) {
+          drives_->QueueDepth(SlotId(set.disk)) > 0) {
         continue;
       }
       for (uint32_t c = set.begin; c < set.end; ++c) {
@@ -284,7 +284,8 @@ bool ArrayController::SubmitReadFragment(FragState& frag, uint64_t frag_key) {
     entry.arrival_us = sim_->Now();
     entry.tag = frag_key;
     frag.queued.emplace_back(set.disk, entry.id);
-    drives_->EnqueueFg(SlotId(set.disk), std::move(entry));
+    drives_->Enqueue(SlotId(set.disk), DriveSet::Queue::kForeground,
+                     std::move(entry));
   }
   // Dispatch after all duplicates are queued so cancellation state is
   // complete before the first pick. Dispatch only picks and starts accesses
@@ -328,7 +329,8 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
       entry.candidates = {BlockAddr(loc.lba)};
       entry.arrival_us = sim_->Now();
       entry.tag = frag_key;
-      drives_->EnqueueFg(SlotId(loc.disk), std::move(entry));
+      drives_->Enqueue(SlotId(loc.disk), DriveSet::Queue::kForeground,
+                       std::move(entry));
     }
     for (const ReplicaLocation& loc : frag.replicas) {
       if (!drives_->failed(SlotId(loc.disk))) {
@@ -360,7 +362,8 @@ bool ArrayController::SubmitWriteFragment(FragState& frag, uint64_t frag_key) {
           BlockAddr(frag.replicas[static_cast<size_t>(m) * dr + r].lba));
     }
     frag.queued.emplace_back(disk, entry.id);
-    drives_->EnqueueFg(SlotId(disk), std::move(entry));
+    drives_->Enqueue(SlotId(disk), DriveSet::Queue::kForeground,
+                     std::move(entry));
     queued = true;
   }
   if (!queued) {
@@ -412,19 +415,8 @@ void ArrayController::CancelSiblings(uint64_t frag_key, uint32_t winner_disk,
     if (disk == winner_disk && entry_id == winner_entry) {
       continue;
     }
-    auto& q = drives_->fg(SlotId(disk));
-    for (size_t i = 0; i < q.size(); ++i) {
-      if (q[i].id == entry_id) {
-        q.erase(q.begin() + static_cast<ptrdiff_t>(i));
-        ++stats_.read_duplicates_cancelled;
-        if (auditor_ != nullptr) {
-          auditor_->OnEntryCancelled(disk, entry_id);
-        }
-        if (collector_ != nullptr) {
-          collector_->OnQueueDepth(disk, sim_->Now(), q.size());
-        }
-        break;
-      }
+    if (drives_->Cancel(SlotId(disk), entry_id)) {
+      ++stats_.read_duplicates_cancelled;
     }
   }
   frag.queued.clear();
@@ -661,7 +653,8 @@ void ArrayController::HandleWriteFailure(uint32_t disk,
           return;
         }
         retry.arrival_us = sim_->Now();
-        drives_->EnqueueFg(SlotId(disk), std::move(retry));
+        drives_->Enqueue(SlotId(disk), DriveSet::Queue::kForeground,
+                         std::move(retry));
         drives_->MaybeDispatch(SlotId(disk));
       });
 }
@@ -873,12 +866,8 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
     // If the superseded entry is still queued, it simply carries the newer
     // data ("data dies young", Section 3.4) — nothing more to do. If it is
     // already in flight, a fresh propagation must follow it.
-    for (const auto* q : {&drives_->delayed(SlotId(disk)), &drives_->fg(SlotId(disk))}) {
-      for (const QueuedRequest& e : *q) {
-        if (e.id == *existing_owner) {
-          return;  // still queued; superseded in place
-        }
-      }
+    if (drives_->Queued(SlotId(disk), *existing_owner)) {
+      return;  // still queued; superseded in place
     }
     nvram_.Erase(disk, lba);  // in flight; fall through to re-queue
     if (auditor_ != nullptr) {
@@ -896,7 +885,7 @@ void ArrayController::AddDelayedWrite(uint32_t disk, uint64_t lba,
   const uint64_t owner_id = entry.id;
   // Queue registration precedes the table insert so the auditor sees the
   // NVRAM entry owned by an already-live delayed entry.
-  drives_->EnqueueDelayed(SlotId(disk), std::move(entry));
+  drives_->Enqueue(SlotId(disk), DriveSet::Queue::kDelayed, std::move(entry));
   nvram_.Put(NvramEntry{disk, lba, sectors}, owner_id);
   if (auditor_ != nullptr) {
     auditor_->OnNvramPut(disk, lba, owner_id);
@@ -919,19 +908,12 @@ void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
   }
   ++stats_.delayed_writes_discarded;
   // The entry may sit in the delayed queue or (if forced out) the FG queue.
-  for (auto* q : {&drives_->delayed(SlotId(disk)), &drives_->fg(SlotId(disk))}) {
-    for (size_t i = 0; i < q->size(); ++i) {
-      if ((*q)[i].id == *owner) {
-        for (uint32_t s = 0; s < (*q)[i].sectors; ++s) {
-          stale_sectors_.erase(ReplicaKey(disk, lba + s));
-        }
-        q->erase(q->begin() + static_cast<ptrdiff_t>(i));
-        if (auditor_ != nullptr) {
-          auditor_->OnEntryCancelled(disk, *owner);
-        }
-        return;
-      }
+  if (const std::optional<QueuedRequest> cancelled =
+          drives_->Cancel(SlotId(disk), *owner)) {
+    for (uint32_t s = 0; s < cancelled->sectors; ++s) {
+      stale_sectors_.erase(ReplicaKey(disk, lba + s));
     }
+    return;
   }
   // Entry already dispatched: it will complete and clear its own state.
   nvram_.Put(*record, *owner);
@@ -943,23 +925,12 @@ void ArrayController::CancelPendingDelayed(uint32_t disk, uint64_t lba) {
 void ArrayController::EnforceDelayedTableLimit() {
   while (nvram_.size() > options_.delayed_table_limit) {
     // Force the oldest still-queued delayed write into its FG queue.
-    uint32_t best_disk = 0;
-    uint64_t best_id = UINT64_MAX;
-    for (uint32_t d = 0; d < drives_->num_slots(); ++d) {
-      if (!drives_->delayed(SlotId(d)).empty() &&
-          drives_->delayed(SlotId(d)).front().id < best_id) {
-        best_id = drives_->delayed(SlotId(d)).front().id;
-        best_disk = d;
-      }
-    }
-    if (best_id == UINT64_MAX) {
+    const std::optional<SlotId> slot = drives_->ForceOutOldestDelayed();
+    if (!slot.has_value()) {
       return;  // everything pending is already in flight or forced
     }
-    QueuedRequest entry = std::move(drives_->delayed(SlotId(best_disk)).front());
-    drives_->delayed(SlotId(best_disk)).erase(drives_->delayed(SlotId(best_disk)).begin());
-    drives_->fg(SlotId(best_disk)).push_back(std::move(entry));
     ++stats_.delayed_writes_forced;
-    drives_->MaybeDispatch(SlotId(best_disk));
+    drives_->MaybeDispatch(*slot);
   }
 }
 
@@ -1101,7 +1072,7 @@ bool ArrayController::FailDisk(SlotId slot) {
   MIMDRAID_CHECK_LT(disk, drives_->num_slots());
   MIMDRAID_CHECK(!drives_->failed(SlotId(disk)));
   MIMDRAID_CHECK(!drives_->disk(SlotId(disk))->busy());
-  MIMDRAID_CHECK(drives_->fg(SlotId(disk)).empty());
+  MIMDRAID_CHECK_EQ(drives_->QueueDepth(SlotId(disk)), 0u);
   if (layout_->aspect().dm < 2) {
     // An SR-Array/stripe column has no cross-disk copy: losing the disk
     // loses data (the paper's Section 2.5 reliability tradeoff).
@@ -1118,26 +1089,31 @@ void ArrayController::RebuildDisk(uint32_t disk, DoneFn done) {
   MIMDRAID_CHECK(drives_->failed(SlotId(disk)));
   MIMDRAID_CHECK_GE(layout_->aspect().dm, 2);
   drives_->MarkReplaced(SlotId(disk));  // replacement drive in the slot
-  ++rebuild_streams_;
-  RebuildNextFragment(disk, 0, std::move(done));
+  const uint64_t stream = rebuilds_.Acquire();
+  RebuildStream& s = rebuilds_[stream];
+  s.disk = disk;
+  s.done = std::move(done);
+  RebuildNextFragment(stream, 0);
 }
 
-void ArrayController::FinishRebuildStream(IoStatus status, DoneFn done) {
-  MIMDRAID_CHECK_GT(rebuild_streams_, 0u);
-  --rebuild_streams_;
+void ArrayController::FinishRebuildStream(uint64_t stream, IoStatus status) {
+  DoneFn done = std::move(rebuilds_[stream].done);
+  rebuilds_.Release(stream);
   if (done) {
     done(IoResult{status, sim_->Now(), 0});
   }
 }
 
-void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
-                                          DoneFn done) {
+void ArrayController::RebuildNextFragment(uint64_t stream, uint64_t next_lba) {
   // Stream the dataset fragment by fragment; for each fragment with replicas
-  // on `disk`, read a surviving copy and rewrite this disk's copies. The copy
-  // traffic rides the delayed queues, yielding to foreground work.
+  // on the stream's disk, read a surviving copy and rewrite this disk's
+  // copies. The copy traffic rides the delayed queues, yielding to
+  // foreground work.
+  RebuildStream& s = rebuilds_[stream];
+  const uint32_t disk = s.disk;
   if (drives_->failed(SlotId(disk))) {
     // The replacement itself died mid-rebuild; abort the stream.
-    FinishRebuildStream(IoStatus::kDiskFailed, std::move(done));
+    FinishRebuildStream(stream, IoStatus::kDiskFailed);
     return;
   }
   const uint64_t dataset = layout_->dataset_sectors();
@@ -1147,17 +1123,17 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
         std::min<uint64_t>(layout_->stripe_unit_sectors(), dataset - lba));
     const std::vector<ArrayFragment> frags = layout_->Map(lba, span);
     for (const ArrayFragment& f : frags) {
-      std::vector<ReplicaLocation> targets;
+      s.targets.clear();
       const ReplicaLocation* source = nullptr;
       for (const ReplicaLocation& loc : f.replicas) {
         if (loc.disk == disk) {
-          targets.push_back(loc);
+          s.targets.push_back(loc);
         } else if (source == nullptr && !drives_->failed(SlotId(loc.disk)) &&
                    !bad_sources_.contains(ReplicaKey(loc.disk, loc.lba))) {
           source = &loc;
         }
       }
-      if (targets.empty()) {
+      if (s.targets.empty()) {
         continue;
       }
       if (source == nullptr) {
@@ -1166,85 +1142,84 @@ void ArrayController::RebuildNextFragment(uint32_t disk, uint64_t next_lba,
         ++fstats().rebuild_fragments_lost;
         continue;
       }
+      s.resume = f.logical_lba + f.sectors;
+      s.len = f.sectors;
       const uint64_t frag_start = f.logical_lba;
-      const uint64_t resume = f.logical_lba + f.sectors;
-      const uint32_t len = f.sectors;
-      const uint32_t source_disk = source->disk;
-      const uint64_t source_lba = source->lba;
+      const ReplicaLocation src = *source;
 
       // mdl-ok(MDL002): the stream tracks itself
       (void)drives_->EnqueueCommand(
-          SlotId(source_disk), DriveSet::Queue::kDelayed, DiskOp::kRead,
-          BlockAddr(source_lba), len,
-          [this, disk, frag_start, resume, targets, len, source_disk,
-           source_lba, done](const DiskOpResult& r, uint64_t id) mutable {
+          SlotId(src.disk), DriveSet::Queue::kDelayed, DiskOp::kRead,
+          BlockAddr(src.lba), s.len,
+          [this, stream, frag_start, src](const DiskOpResult& r,
+                                          uint64_t id) {
+            RebuildStream& copy = rebuilds_[stream];
             if (r.ok()) {
-              auto writes_left = std::make_shared<size_t>(targets.size());
-              for (const ReplicaLocation& loc : targets) {
-                EnqueueRebuildWrite(loc, len, writes_left, disk, resume, done);
+              copy.writes_left = copy.targets.size();
+              // By index: the last write may already move the stream on,
+              // which refills `targets`.
+              for (size_t i = 0, n = copy.targets.size(); i < n; ++i) {
+                EnqueueRebuildWrite(stream, rebuilds_[stream].targets[i]);
               }
               return;
             }
             if (r.status == IoStatus::kMediaError) {
               // The source replica is bad: exclude it from future sourcing
               // and rewrite it from whichever copy the restart picks.
-              bad_sources_.insert(ReplicaKey(source_disk, source_lba));
-              if (!drives_->failed(SlotId(source_disk))) {
+              bad_sources_.insert(ReplicaKey(src.disk, src.lba));
+              if (!drives_->failed(SlotId(src.disk))) {
                 ++fstats().repairs_queued;
-                AddDelayedWrite(source_disk, source_lba, len);
+                AddDelayedWrite(src.disk, src.lba, copy.len);
               }
             }
             ++fstats().failovers;
             // Restart the fragment copy with a different source.
-            RebuildNextFragment(disk, frag_start, std::move(done));
+            RebuildNextFragment(stream, frag_start);
             drives_->ResolveFault(id, FaultResolution::kFailedOver,
-                                  drives_->failed(SlotId(source_disk)));
+                                  drives_->failed(SlotId(src.disk)));
           });
       return;  // continue from the completion callbacks
     }
     lba += span;
   }
-  FinishRebuildStream(IoStatus::kOk, std::move(done));
+  FinishRebuildStream(stream, IoStatus::kOk);
 }
 
-void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
-                                          std::shared_ptr<size_t> writes_left,
-                                          uint32_t rebuild_disk,
-                                          uint64_t resume, DoneFn done) {
+void ArrayController::RebuildWriteSettled(uint64_t stream) {
+  RebuildStream& s = rebuilds_[stream];
+  if (--s.writes_left == 0) {
+    RebuildNextFragment(stream, s.resume);
+  }
+}
+
+void ArrayController::EnqueueRebuildWrite(uint64_t stream,
+                                          ReplicaLocation loc) {
   if (drives_->failed(SlotId(loc.disk))) {
     // The target slot died between sourcing the copy and issuing the write;
     // an entry queued to a failed disk would never dispatch. The fragment is
     // lost and the stream advances (RebuildNextFragment aborts the rebuild
     // when the target itself is the failed disk).
     ++fstats().rebuild_fragments_lost;
-    if (--*writes_left == 0) {
-      RebuildNextFragment(rebuild_disk, resume, std::move(done));
-    }
+    RebuildWriteSettled(stream);
     return;
   }
   (void)drives_->EnqueueCommand(  // mdl-ok(MDL002): the stream tracks itself
       SlotId(loc.disk), DriveSet::Queue::kDelayed, DiskOp::kWrite,
-      BlockAddr(loc.lba), len,
-      [this, loc, len, writes_left, rebuild_disk, resume,
-       done](const DiskOpResult& r, uint64_t id) mutable {
+      BlockAddr(loc.lba), rebuilds_[stream].len,
+      [this, stream, loc](const DiskOpResult& r, uint64_t id) {
         const bool target_failed = drives_->failed(SlotId(loc.disk));
         if (!r.ok() && !target_failed) {
           // Transient failure of the copy write: retry after backoff, without
           // an attempt bound. The write itself repairs any latent error at
           // the target (firmware remap).
           ++fstats().retries_issued;
-          drives_->ScheduleRecovery(1, [this, loc, len, writes_left,
-                                        rebuild_disk, resume,
-                                        done = std::move(done)]() mutable {
+          drives_->ScheduleRecovery(1, [this, stream, loc]() {
             if (drives_->failed(SlotId(loc.disk))) {
               ++fstats().rebuild_fragments_lost;
-              if (--*writes_left == 0) {
-                RebuildNextFragment(rebuild_disk, resume, std::move(done));
-              }
+              RebuildWriteSettled(stream);
               return;
             }
-            EnqueueRebuildWrite(loc, len, writes_left, rebuild_disk, resume,
-                                std::move(done));
+            EnqueueRebuildWrite(stream, loc);
           });
           drives_->ResolveFault(id, FaultResolution::kRetried, false);
           return;
@@ -1254,9 +1229,7 @@ void ArrayController::EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
         } else {
           ++fstats().rebuild_fragments_lost;  // target slot died mid-copy
         }
-        if (--*writes_left == 0) {
-          RebuildNextFragment(rebuild_disk, resume, std::move(done));
-        }
+        RebuildWriteSettled(stream);
         if (!r.ok()) {
           drives_->ResolveFault(id, FaultResolution::kAbandoned, true);
         }

@@ -114,7 +114,9 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
 
   // Outstanding foreground entries across all drive queues (dispatched
   // requests excluded).
-  size_t TotalQueued() const { return drives_->TotalFgQueued(); }
+  size_t TotalQueued() const {
+    return drives_->TotalQueued(DriveSet::Queue::kForeground);
+  }
   // Pending background replica propagations (the NVRAM table occupancy).
   size_t DelayedBacklog() const { return nvram_.size(); }
   // The delayed-write metadata table (what NVRAM preserves across a crash).
@@ -124,7 +126,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // controller before offering load.
   void RestorePropagations(const std::vector<NvramEntry>& entries);
   size_t QueueDepth(uint32_t disk) const {
-    return drives_->fg(SlotId(disk)).size();
+    return drives_->QueueDepth(SlotId(disk));
   }
   bool Idle() const override;
 
@@ -151,7 +153,7 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   uint64_t rebuild_copied_fragments() const { return rebuild_copied_; }
   // True from RebuildDisk until that stream's `done` is about to fire, for
   // every stream (rebuilds of different slots may run side by side).
-  bool RebuildInProgress() const override { return rebuild_streams_ > 0; }
+  bool RebuildInProgress() const override { return !rebuilds_.empty(); }
 
   // --- Hot spares and fault recovery. ---
   // Registers a standby drive (and its predictor) the controller may promote
@@ -274,12 +276,15 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   // Total registrations in waiters_: one per parked read.
   size_t WaiterEntries() const;
   void ScheduleRecalibration(uint32_t disk);
-  void RebuildNextFragment(uint32_t disk, uint64_t next_lba, DoneFn done);
-  void EnqueueRebuildWrite(ReplicaLocation loc, uint32_t len,
-                           std::shared_ptr<size_t> writes_left,
-                           uint32_t rebuild_disk, uint64_t resume, DoneFn done);
+  // Sources and copies the next fragment at or after `next_lba` that has a
+  // replica on the stream's disk, or finishes the stream.
+  void RebuildNextFragment(uint64_t stream, uint64_t next_lba);
+  void EnqueueRebuildWrite(uint64_t stream, ReplicaLocation loc);
+  // One of the fragment's target writes landed or was lost; the last one
+  // moves the stream on.
+  void RebuildWriteSettled(uint64_t stream);
   // Ends one rebuild stream and reports `status` through its `done`.
-  void FinishRebuildStream(IoStatus status, DoneFn done);
+  void FinishRebuildStream(uint64_t stream, IoStatus status);
   // Completion of one scrub read of replica `loc` (id 0: drained unread).
   void ScrubReadDone(ReplicaLocation loc, uint32_t sectors,
                      const DiskOpResult& result, uint64_t id);
@@ -311,7 +316,6 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   const ArrayLayout* layout_;
   ArrayControllerOptions options_;
   InvariantAuditor* auditor_ = nullptr;
-  TraceCollector* collector_ = nullptr;
 
   // The shared drive-pool engine: queues, dispatch, fault counting,
   // auto-fail, spares, the scrub timer.
@@ -356,9 +360,21 @@ class ArrayController : public ArrayBackend, private DriveSetClient {
   std::unordered_map<uint64_t, std::vector<uint64_t>> waiters_;
   std::vector<uint64_t> wake_sectors_;
 
+  // One mirror rebuild stream (one per RebuildDisk, until its `done` is
+  // about to fire). A stream copies one fragment at a time: a source read,
+  // then one write per replica the rebuilt slot holds.
+  struct RebuildStream {
+    uint32_t disk = 0;  // the slot being re-populated
+    DoneFn done;
+    // The fragment in flight: its length, the slot's replicas of it, the
+    // writes still outstanding, and the logical LBA after it.
+    uint32_t len = 0;
+    std::vector<ReplicaLocation> targets;
+    size_t writes_left = 0;
+    uint64_t resume = 0;
+  };
+  HandleSlab<RebuildStream> rebuilds_;
   uint64_t rebuild_copied_ = 0;
-  // Rebuild streams started and not yet finished (one per RebuildDisk).
-  size_t rebuild_streams_ = 0;
   // Replica sources that returned a media error during rebuild/scrub
   // sourcing; never picked again (keyed by ReplicaKey).
   std::unordered_set<uint64_t> bad_sources_;

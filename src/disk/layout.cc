@@ -52,11 +52,6 @@ bool DiskLayout::AddBadSector(uint64_t lba) {
   spare.head = spare_track % geometry_->num_heads;
   spare.sector = slot_index % z.sectors_per_track;
   remap_[lba] = spare;
-  const uint64_t natural_key =
-      static_cast<uint64_t>(GlobalTrack(natural.cylinder, natural.head)) *
-          z.sectors_per_track +
-      natural.sector;
-  natural_position_remapped_[natural_key] = lba;
   return true;
 }
 
@@ -130,14 +125,14 @@ uint64_t DiskLayout::ToLba(const Chs& chs, uint32_t zi) const {
       global_track >= e.first_track + e.num_data_tracks) {
     return kInvalidLba;  // reserved or spare track
   }
-  const uint64_t natural_key =
-      static_cast<uint64_t>(global_track) * z.sectors_per_track + chs.sector;
-  if (natural_position_remapped_.contains(natural_key)) {
-    return kInvalidLba;  // the sector physically here is marked bad
+  const uint64_t lba = e.first_lba +
+                       static_cast<uint64_t>(global_track - e.first_track) *
+                           z.sectors_per_track +
+                       chs.sector;
+  if (IsRemapped(lba)) {
+    return kInvalidLba;  // the sector naturally here is marked bad
   }
-  return e.first_lba +
-         static_cast<uint64_t>(global_track - e.first_track) * z.sectors_per_track +
-         chs.sector;
+  return lba;
 }
 
 uint32_t DiskLayout::TrackStartSlot(uint32_t cylinder, uint32_t head) const {

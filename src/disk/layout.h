@@ -159,10 +159,9 @@ class DiskLayout {
   std::vector<ZoneExtent> extents_;
   uint64_t num_data_sectors_ = 0;
   uint32_t first_data_cylinder_ = 0;
+  // Remapped LBA -> its spare slot. A remapped LBA's natural position is a
+  // hole: ToLba reports it as kInvalidLba.
   std::unordered_map<uint64_t, Chs> remap_;
-  // Reverse map keyed by global slot index of the *natural* position, so
-  // ToLba can report holes.
-  std::unordered_map<uint64_t, uint64_t> natural_position_remapped_;
 };
 
 }  // namespace mimdraid

@@ -80,11 +80,11 @@ void EcController::AuditQuiescent() const {
   if (auditor_ == nullptr) {
     return;
   }
-  auditor_->CheckQuiescent(drives_->TotalFgQueued(),
-                           drives_->TotalDelayedQueued(),
-                           /*nvram_entries=*/0, /*stale_sectors=*/0,
-                           /*inflight_writes=*/0, /*parked_requests=*/0,
-                           /*waiter_entries=*/0);
+  auditor_->CheckQuiescent(
+      drives_->TotalQueued(DriveSet::Queue::kForeground),
+      drives_->TotalQueued(DriveSet::Queue::kDelayed), /*nvram_entries=*/0,
+      /*stale_sectors=*/0, /*inflight_writes=*/0, /*parked_requests=*/0,
+      /*waiter_entries=*/0);
 }
 
 void EcController::ExportStats(StatsRegistry* registry) const {

@@ -79,34 +79,17 @@ void DriveSet::AddSpare(SimDisk* disk, AccessPredictor* predictor) {
   spares_.push_back(SpareEntry{disk, predictor, false});
 }
 
-size_t DriveSet::TotalFgQueued() const {
+size_t DriveSet::TotalQueued(Queue queue) const {
   size_t total = 0;
-  for (const auto& q : fg_) {
+  for (const auto& q : queue == Queue::kForeground ? fg_ : delayed_) {
     total += q.size();
   }
   return total;
 }
 
-size_t DriveSet::TotalDelayedQueued() const {
-  size_t total = 0;
-  for (const auto& q : delayed_) {
-    total += q.size();
-  }
-  return total;
-}
-
-bool DriveSet::AllDrivesQuiet() const {
+bool DriveSet::AllDrivesQuiet(bool skip_failed) const {
   for (size_t i = 0; i < disks_.size(); ++i) {
-    if (disks_[i]->busy() || !fg_[i].empty() || !delayed_[i].empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DriveSet::LiveDrivesQuiet() const {
-  for (size_t i = 0; i < disks_.size(); ++i) {
-    if (failed_[i]) {
+    if (skip_failed && failed_[i]) {
       continue;
     }
     if (disks_[i]->busy() || !fg_[i].empty() || !delayed_[i].empty()) {
@@ -116,23 +99,70 @@ bool DriveSet::LiveDrivesQuiet() const {
   return true;
 }
 
-void DriveSet::EnqueueFg(SlotId slot, QueuedRequest entry) {
+void DriveSet::Enqueue(SlotId slot, Queue queue, QueuedRequest entry) {
   ResolveCandidates(disks_[slot.value()]->layout(), entry);
   if (options_.auditor != nullptr) {
     options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
   }
-  fg_[slot.value()].push_back(std::move(entry));
-  if (options_.collector != nullptr) {
-    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), fg_[slot.value()].size());
+  QueueOf(slot, queue).push_back(std::move(entry));
+  if (queue == Queue::kForeground) {
+    NoteFgDepth(slot);
   }
 }
 
-void DriveSet::EnqueueDelayed(SlotId slot, QueuedRequest entry) {
-  ResolveCandidates(disks_[slot.value()]->layout(), entry);
-  if (options_.auditor != nullptr) {
-    options_.auditor->OnEntryQueued(slot.value(), entry.id, entry.delayed);
+std::optional<QueuedRequest> DriveSet::Cancel(SlotId slot, uint64_t id) {
+  for (const Queue queue : {Queue::kForeground, Queue::kDelayed}) {
+    std::vector<QueuedRequest>& entries = QueueOf(slot, queue);
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->id != id) {
+        continue;
+      }
+      // A command's callback must fire exactly once; only raw entries, whose
+      // policy owns the work, can be withdrawn.
+      MIMDRAID_CHECK_EQ(it->command, 0u);
+      QueuedRequest entry = std::move(*it);
+      entries.erase(it);
+      if (options_.auditor != nullptr) {
+        options_.auditor->OnEntryCancelled(slot.value(), id);
+      }
+      if (queue == Queue::kForeground) {
+        NoteFgDepth(slot);
+      }
+      return entry;
+    }
   }
-  delayed_[slot.value()].push_back(std::move(entry));
+  return std::nullopt;
+}
+
+bool DriveSet::Queued(SlotId slot, uint64_t id) const {
+  for (const auto* entries : {&fg_[slot.value()], &delayed_[slot.value()]}) {
+    for (const QueuedRequest& e : *entries) {
+      if (e.id == id) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+std::optional<SlotId> DriveSet::ForceOutOldestDelayed() {
+  size_t oldest = delayed_.size();
+  for (size_t i = 0; i < delayed_.size(); ++i) {
+    if (!delayed_[i].empty() &&
+        (oldest == delayed_.size() ||
+         delayed_[i].front().id < delayed_[oldest].front().id)) {
+      oldest = i;
+    }
+  }
+  if (oldest == delayed_.size()) {
+    return std::nullopt;
+  }
+  const SlotId slot(static_cast<uint32_t>(oldest));
+  std::vector<QueuedRequest>& delayed = delayed_[oldest];
+  fg_[oldest].push_back(std::move(delayed.front()));
+  delayed.erase(delayed.begin());
+  NoteFgDepth(slot);
+  return slot;
 }
 
 void DriveSet::MaybeDispatch(SlotId slot) {
@@ -157,8 +187,8 @@ void DriveSet::MaybeDispatch(SlotId slot) {
   if (options_.auditor != nullptr) {
     options_.auditor->OnEntryDispatched(slot.value(), entry.id);
   }
-  if (options_.collector != nullptr && from_fg) {
-    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), fg_[slot.value()].size());
+  if (from_fg) {
+    NoteFgDepth(slot);
   }
 
   if (entry.command == 0) {
@@ -249,11 +279,7 @@ uint64_t DriveSet::EnqueueCommand(SlotId slot, Queue queue, DiskOp op,
   entry.arrival_us = sim_->Now();
   entry.command = handle;
   const uint64_t id = entry.id;
-  if (queue == Queue::kForeground) {
-    EnqueueFg(slot, std::move(entry));
-  } else {
-    EnqueueDelayed(slot, std::move(entry));
-  }
+  Enqueue(slot, queue, std::move(entry));
   MaybeDispatch(slot);
   return id;
 }
@@ -306,8 +332,8 @@ std::vector<QueuedRequest> DriveSet::DrainFailedSlot(SlotId slot) {
     }
   };
   drain(delayed);
-  if (options_.collector != nullptr && !fg.empty()) {
-    options_.collector->OnQueueDepth(slot.value(), sim_->Now(), 0);
+  if (!fg.empty()) {
+    NoteFgDepth(slot);  // now 0
   }
   drain(fg);
   return raw;
@@ -451,7 +477,7 @@ void DriveSet::ScrubTick() {
   // recovery work simply skips its turn. kAlways (the fixed-period policy)
   // admits the step regardless of drive business.
   if (options_.scrub_gating == ScrubGating::kIdleGated &&
-      (pending_recovery_ > 0 || !LiveDrivesQuiet())) {
+      (pending_recovery_ > 0 || !AllDrivesQuiet(/*skip_failed=*/true))) {
     return;
   }
   client_->ScrubStep();

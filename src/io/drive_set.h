@@ -24,14 +24,15 @@
 //    I/O are commands.
 //  * Raw entries: the policy allocates ids (AllocEntryId), builds
 //    QueuedRequest values (multi-candidate reads, duplicates cancelled at
-//    dispatch, NVRAM-backed propagations), enqueues them (EnqueueFg/
-//    EnqueueDelayed), and gets their completions through
-//    DriveSetClient::OnEntryComplete.
+//    dispatch, NVRAM-backed propagations), enqueues them (Enqueue), cancels
+//    or forces them out through the engine's queue operations, and gets
+//    their completions through DriveSetClient::OnEntryComplete.
 #ifndef MIMDRAID_SRC_IO_DRIVE_SET_H_
 #define MIMDRAID_SRC_IO_DRIVE_SET_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -202,35 +203,39 @@ class DriveSet {
   const FaultRecoveryStats& fstats() const { return fstats_; }
 
   // --- Queues ---
-  // Queue conservation: every entry id comes from AllocEntryId, is reported
-  // queued once (EnqueueFg/EnqueueDelayed), and leaves exactly once — by
-  // dispatch or by a policy-side cancellation the policy reports to the
-  // auditor itself (the mutable refs exist for those paths: sibling
-  // cancellation, superseded propagations, delayed-table force-out). A
-  // failed slot's queues are emptied by DrainFailedSlot.
+  // The engine is the only owner of a slot's two queues; policies reach them
+  // through the operations below, each of which does its own auditor and
+  // collector bookkeeping. Queue conservation: every entry id comes from
+  // AllocEntryId, is reported queued once (Enqueue), and leaves exactly once:
+  // by dispatch, by Cancel, or by DrainFailedSlot. Every change to a
+  // foreground queue's length emits one OnQueueDepth sample.
   [[nodiscard]] uint64_t AllocEntryId() { return next_entry_id_++; }
-  std::vector<QueuedRequest>& fg(SlotId slot) { return fg_[slot.value()]; }
-  std::vector<QueuedRequest>& delayed(SlotId slot) {
-    return delayed_[slot.value()];
+  // Resolves `entry`'s candidates against the slot's drive and appends it to
+  // `queue`. Does not dispatch.
+  void Enqueue(SlotId slot, Queue queue, QueuedRequest entry);
+  // Removes raw entry `id` from whichever of `slot`'s queues holds it and
+  // reports the cancellation; nullopt (and no change) when it is not queued
+  // there — already dispatched, or drained. Commands cannot be cancelled:
+  // their callbacks must fire.
+  std::optional<QueuedRequest> Cancel(SlotId slot, uint64_t id);
+  // Whether entry `id` still waits in one of `slot`'s queues.
+  bool Queued(SlotId slot, uint64_t id) const;
+  // Moves the oldest (lowest-id) entry at the front of any delayed queue to
+  // the back of its slot's foreground queue, and returns that slot; nullopt
+  // when every delayed queue is empty. Does not dispatch.
+  std::optional<SlotId> ForceOutOldestDelayed();
+  size_t QueueDepth(SlotId slot, Queue queue = Queue::kForeground) const {
+    return queue == Queue::kForeground ? fg_[slot.value()].size()
+                                       : delayed_[slot.value()].size();
   }
-  const std::vector<QueuedRequest>& fg(SlotId slot) const {
-    return fg_[slot.value()];
-  }
-  const std::vector<QueuedRequest>& delayed(SlotId slot) const {
-    return delayed_[slot.value()];
-  }
-  void EnqueueFg(SlotId slot, QueuedRequest entry);
-  void EnqueueDelayed(SlotId slot, QueuedRequest entry);
   // Picks and starts the next entry on `slot` if the drive is live and idle.
   // Foreground entries always outrank delayed ones.
   void MaybeDispatch(SlotId slot);
-  size_t TotalFgQueued() const;
-  size_t TotalDelayedQueued() const;
-  // Every slot (failed included) idle with empty queues — the drive half of a
-  // backend's Idle().
-  bool AllDrivesQuiet() const;
-  // Like AllDrivesQuiet but failed slots are skipped (scrub gating).
-  bool LiveDrivesQuiet() const;
+  // Entries in `queue` across all slots.
+  size_t TotalQueued(Queue queue) const;
+  // Every slot idle with empty queues — the drive half of a backend's
+  // Idle(). Failed slots count too unless `skip_failed` (scrub gating).
+  bool AllDrivesQuiet(bool skip_failed = false) const;
 
   // --- Commands ---
   // Queues one single-disk command on `queue` and dispatches if the drive is
@@ -301,6 +306,16 @@ class DriveSet {
   void EndScrubSweep();
 
  private:
+  std::vector<QueuedRequest>& QueueOf(SlotId slot, Queue q) {
+    return q == Queue::kForeground ? fg_[slot.value()]
+                                   : delayed_[slot.value()];
+  }
+  void NoteFgDepth(SlotId slot) {
+    if (options_.collector != nullptr) {
+      options_.collector->OnQueueDepth(slot.value(), sim_->Now(),
+                                       fg_[slot.value()].size());
+    }
+  }
   void HandleCompletion(SlotId slot, const QueuedRequest& entry,
                         BlockAddr chosen_lba, const DiskOpResult& result);
   // Parks `done` in the slab; returns its handle (slot index + 1).

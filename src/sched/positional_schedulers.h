@@ -1,4 +1,4 @@
-// Rotational-position-sensitive schedulers: SATF, RLOOK, RSATF.
+// Rotational-position-sensitive schedulers: SATF, RSATF, ASATF, RLOOK.
 //
 // SATF (Shortest Access Time First, Jacobson & Wilkes / Seltzer et al.) picks
 // the request with the smallest predicted positioning time (seek + rotation).
@@ -7,7 +7,12 @@
 // the chosen request; RSATF minimizes predicted access time over every
 // replica of every queued request (Section 2.4).
 //
-// All three apply the predictor's slack: a candidate whose predicted
+// The four are one access-time rule over different candidate sets, and they
+// share one scoring loop: SATF scores each entry's primary copy, RSATF every
+// replica, ASATF every replica less an age credit, and RLOOK every replica
+// of the one entry LOOK chose.
+//
+// All of them apply the predictor's slack: a candidate whose predicted
 // rotational wait is below the slack is charged a full extra rotation, which
 // is what keeps the on-target rate above 99% despite unobservable request
 // overhead (Section 3.2).
@@ -19,28 +24,38 @@
 
 namespace mimdraid {
 
-class SatfScheduler : public Scheduler {
+// SATF, RSATF and ASATF: the access-time scan over the first `max_scan`
+// queue entries (0 = the whole queue).
+class AccessTimeScheduler : public Scheduler {
  public:
-  explicit SatfScheduler(size_t max_scan = 0) : max_scan_(max_scan) {}
-
   SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
                      const ScheduleContext& ctx) override;
-  std::string name() const override { return "SATF"; }
+
+ protected:
+  AccessTimeScheduler(size_t max_scan, bool every_replica, double age_weight)
+      : max_scan_(max_scan),
+        every_replica_(every_replica),
+        age_weight_(age_weight) {}
 
  private:
   size_t max_scan_;
+  bool every_replica_;
+  double age_weight_;
 };
 
-class RsatfScheduler : public Scheduler {
+// SATF proper is replica-oblivious: it scores each entry's primary copy.
+class SatfScheduler : public AccessTimeScheduler {
  public:
-  explicit RsatfScheduler(size_t max_scan = 0) : max_scan_(max_scan) {}
+  explicit SatfScheduler(size_t max_scan = 0)
+      : AccessTimeScheduler(max_scan, /*every_replica=*/false, 0.0) {}
+  std::string name() const override { return "SATF"; }
+};
 
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
-                     const ScheduleContext& ctx) override;
+class RsatfScheduler : public AccessTimeScheduler {
+ public:
+  explicit RsatfScheduler(size_t max_scan = 0)
+      : AccessTimeScheduler(max_scan, /*every_replica=*/true, 0.0) {}
   std::string name() const override { return "RSATF"; }
-
- private:
-  size_t max_scan_;
 };
 
 // Aged SATF: SATF with a starvation control. A request's cost is its
@@ -48,20 +63,13 @@ class RsatfScheduler : public Scheduler {
 // it waits, so a far request cannot be bypassed forever by a stream of
 // nearby arrivals — SATF's classic weakness (noted by Jacobson & Wilkes and
 // Seltzer et al.). age_weight is the microseconds of predicted access time
-// one microsecond of waiting is worth; 0 degenerates to plain SATF.
+// one microsecond of waiting is worth; 0 degenerates to RSATF.
 // Replica-aware like RSATF (evaluates every candidate).
-class AsatfScheduler : public Scheduler {
+class AsatfScheduler : public AccessTimeScheduler {
  public:
   explicit AsatfScheduler(size_t max_scan = 0, double age_weight = 0.1)
-      : max_scan_(max_scan), age_weight_(age_weight) {}
-
-  SchedulerPick Pick(const std::vector<QueuedRequest>& queue,
-                     const ScheduleContext& ctx) override;
+      : AccessTimeScheduler(max_scan, /*every_replica=*/true, age_weight) {}
   std::string name() const override { return "ASATF"; }
-
- private:
-  size_t max_scan_;
-  double age_weight_;
 };
 
 class RlookScheduler : public LookScheduler {

@@ -2,17 +2,22 @@
 // policy that only records what the engine hands it: every command callback
 // fires exactly once whatever the outcome, a slot-failure drain completes the
 // queued commands of both queues in queue order and hands the raw entries
-// back, delayed commands wait for an empty foreground queue, and the command
-// slab reuses its slots.
+// back, delayed commands wait for an empty foreground queue, the command
+// slab reuses its slots, and the queue operations a policy is given (cancel,
+// force-out, depth) keep the auditor's conservation check and the collector's
+// depth series exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/calib/predictor.h"
 #include "src/disk/sim_disk.h"
 #include "src/io/drive_set.h"
+#include "src/obs/trace_collector.h"
 #include "src/sim/auditor.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/simulator.h"
@@ -51,49 +56,54 @@ struct Completion {
 };
 
 struct EngineRig {
-  explicit EngineRig(SchedulerKind scheduler = SchedulerKind::kSatf)
-      : injector(FaultInjectorOptions{}),
-        disk(&sim, MakeTestGeometry(), MakeTestSeekProfile(),
-             DiskNoiseModel::None(), 31, 0.0),
-        predictor(&disk, 0.0) {
+  explicit EngineRig(SchedulerKind scheduler = SchedulerKind::kSatf,
+                     size_t slots = 1)
+      : injector(FaultInjectorOptions{}) {
+    std::vector<SimDisk*> dptr;
+    std::vector<AccessPredictor*> pptr;
+    for (size_t i = 0; i < slots; ++i) {
+      disks.push_back(std::make_unique<SimDisk>(
+          &sim, MakeTestGeometry(), MakeTestSeekProfile(),
+          DiskNoiseModel::None(), 31 + i, 0.0));
+      predictors.push_back(
+          std::make_unique<OraclePredictor>(disks.back().get(), 0.0));
+      dptr.push_back(disks.back().get());
+      pptr.push_back(predictors.back().get());
+    }
     DriveSetOptions options;
     options.scheduler = scheduler;
     options.auditor = &auditor;
     options.fault_injector = &injector;
-    drives = std::make_unique<DriveSet>(
-        &sim, std::vector<SimDisk*>{&disk},
-        std::vector<AccessPredictor*>{&predictor}, &client, options);
+    options.collector = &collector;
+    drives = std::make_unique<DriveSet>(&sim, dptr, pptr, &client, options);
   }
 
   // Queues an 8-sector read command whose callback logs `tag`; a fault is
   // resolved as surfaced, the way a policy that gives up would.
-  uint64_t Command(DriveSet::Queue queue, uint64_t lba, int tag) {
+  uint64_t Command(DriveSet::Queue queue, uint64_t lba, int tag,
+                   SlotId slot = SlotId(0)) {
     return drives->EnqueueCommand(
-        SlotId(0), queue, DiskOp::kRead, BlockAddr(lba), 8,
-        [this, tag](const DiskOpResult& r, uint64_t id) {
+        slot, queue, DiskOp::kRead, BlockAddr(lba), 8,
+        [this, tag, slot](const DiskOpResult& r, uint64_t id) {
           log.push_back(Completion{tag, r.status, id});
           if (!r.ok()) {
             drives->ResolveFault(id, FaultResolution::kSurfaced,
-                                 drives->failed(SlotId(0)));
+                                 drives->failed(slot));
           }
         });
   }
 
-  uint64_t Raw(DriveSet::Queue queue, uint64_t lba) {
+  uint64_t Raw(DriveSet::Queue queue, uint64_t lba, SlotId slot = SlotId(0)) {
     QueuedRequest e;
     e.id = drives->AllocEntryId();
     e.op = DiskOp::kWrite;
     e.sectors = 8;
     e.candidates = {BlockAddr(lba)};
     e.arrival_us = sim.Now();
+    e.delayed = queue == DriveSet::Queue::kDelayed;
     const uint64_t id = e.id;
-    if (queue == DriveSet::Queue::kForeground) {
-      drives->EnqueueFg(SlotId(0), std::move(e));
-    } else {
-      e.delayed = true;
-      drives->EnqueueDelayed(SlotId(0), std::move(e));
-    }
-    drives->MaybeDispatch(SlotId(0));
+    drives->Enqueue(slot, queue, std::move(e));
+    drives->MaybeDispatch(slot);
     return id;
   }
 
@@ -105,11 +115,34 @@ struct EngineRig {
     return n;
   }
 
+  size_t Depth(SlotId slot, DriveSet::Queue queue) const {
+    return drives->QueueDepth(slot, queue);
+  }
+
+  // The collector's most recent foreground-depth sample for `slot`.
+  int64_t LastSampledDepth(SlotId slot) const {
+    int64_t depth = -1;
+    for (const QueueDepthSample& q : collector.queue_depths()) {
+      if (q.slot == slot.value()) {
+        depth = q.depth;
+      }
+    }
+    return depth;
+  }
+
+  // The auditor's terminal conservation check over the engine's queues.
+  void CheckConservation() {
+    auditor.CheckQuiescent(drives->TotalQueued(DriveSet::Queue::kForeground),
+                           drives->TotalQueued(DriveSet::Queue::kDelayed), 0,
+                           0, 0, 0, 0);
+  }
+
   Simulator sim;
   InvariantAuditor auditor;
   FaultInjector injector;
-  SimDisk disk;
-  OraclePredictor predictor;
+  TraceCollector collector;
+  std::vector<std::unique_ptr<SimDisk>> disks;
+  std::vector<std::unique_ptr<AccessPredictor>> predictors;
   RecordingClient client;
   std::vector<Completion> log;
   std::unique_ptr<DriveSet> drives;
@@ -165,7 +198,7 @@ TEST(DriveSet, RawEntriesCompleteThroughThePolicy) {
 TEST(DriveSet, SlotFailureDrainsBothQueuesInQueueOrder) {
   EngineRig rig;
   rig.Command(DriveSet::Queue::kForeground, 0, 0);  // in flight
-  ASSERT_TRUE(rig.disk.busy());
+  ASSERT_TRUE(rig.disks[0]->busy());
   rig.Command(DriveSet::Queue::kForeground, 100, 1);
   const uint64_t raw_fg = rig.Raw(DriveSet::Queue::kForeground, 200);
   rig.Command(DriveSet::Queue::kForeground, 300, 2);
@@ -186,8 +219,9 @@ TEST(DriveSet, SlotFailureDrainsBothQueuesInQueueOrder) {
   EXPECT_EQ(rig.client.failed_slots, std::vector<uint32_t>{0});
   EXPECT_EQ(rig.client.drained_raw,
             (std::vector<uint64_t>{raw_delayed, raw_fg}));
-  EXPECT_TRUE(rig.drives->fg(SlotId(0)).empty());
-  EXPECT_TRUE(rig.drives->delayed(SlotId(0)).empty());
+  EXPECT_EQ(rig.drives->QueueDepth(SlotId(0), DriveSet::Queue::kForeground),
+            0u);
+  EXPECT_EQ(rig.drives->QueueDepth(SlotId(0), DriveSet::Queue::kDelayed), 0u);
 
   // The command already on the drive completes normally, exactly once.
   rig.sim.Run();
@@ -249,6 +283,97 @@ TEST(DriveSet, CommandSlabReusesSlots) {
   EXPECT_EQ(completed, limit);
   EXPECT_EQ(rig.drives->CommandSlotsForTest(),
             static_cast<size_t>(kOutstanding));
+}
+
+TEST(DriveSet, CancelWithdrawsARawEntryFromEitherQueue) {
+  EngineRig rig;
+  rig.Command(DriveSet::Queue::kForeground, 0, 0);  // in flight
+  ASSERT_TRUE(rig.disks[0]->busy());
+  const uint64_t fg_a = rig.Raw(DriveSet::Queue::kForeground, 100);
+  const uint64_t fg_b = rig.Raw(DriveSet::Queue::kForeground, 200);
+  const uint64_t delayed_a = rig.Raw(DriveSet::Queue::kDelayed, 300);
+  const uint64_t delayed_b = rig.Raw(DriveSet::Queue::kDelayed, 400);
+  EXPECT_EQ(rig.Depth(SlotId(0), DriveSet::Queue::kForeground), 2u);
+  EXPECT_EQ(rig.Depth(SlotId(0), DriveSet::Queue::kDelayed), 2u);
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(0)), 2);
+
+  const std::optional<QueuedRequest> fg = rig.drives->Cancel(SlotId(0), fg_a);
+  ASSERT_TRUE(fg.has_value());
+  EXPECT_EQ(fg->id, fg_a);
+  EXPECT_EQ(fg->candidates.front().lba, BlockAddr(100));
+  EXPECT_FALSE(rig.drives->Queued(SlotId(0), fg_a));
+  EXPECT_EQ(rig.Depth(SlotId(0), DriveSet::Queue::kForeground), 1u);
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(0)), 1);
+
+  const size_t samples = rig.collector.queue_depths().size();
+  const std::optional<QueuedRequest> delayed =
+      rig.drives->Cancel(SlotId(0), delayed_b);
+  ASSERT_TRUE(delayed.has_value());
+  EXPECT_TRUE(delayed->delayed);
+  EXPECT_EQ(rig.Depth(SlotId(0), DriveSet::Queue::kDelayed), 1u);
+  // The delayed queue is not part of the foreground depth series.
+  EXPECT_EQ(rig.collector.queue_depths().size(), samples);
+
+  // Unknown, already-cancelled and other-slot ids change nothing.
+  EXPECT_FALSE(rig.drives->Cancel(SlotId(0), fg_a).has_value());
+  EXPECT_FALSE(rig.drives->Cancel(SlotId(0), 9999).has_value());
+  EXPECT_TRUE(rig.drives->Queued(SlotId(0), fg_b));
+  EXPECT_TRUE(rig.drives->Queued(SlotId(0), delayed_a));
+
+  rig.sim.Run();
+  EXPECT_EQ(rig.client.completed_raw,
+            (std::vector<uint64_t>{fg_b, delayed_a}));
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(0)), 0);
+  rig.CheckConservation();
+  EXPECT_EQ(rig.auditor.violations(), 0u);
+}
+
+TEST(DriveSet, ForceOutTakesTheOldestDelayedEntryAcrossSlots) {
+  EngineRig rig(SchedulerKind::kFcfs, /*slots=*/3);
+  for (uint32_t d = 0; d < 3; ++d) {
+    rig.Command(DriveSet::Queue::kForeground, 0, 0, SlotId(d));  // in flight
+  }
+  // Entry ids grow with age: slot 2 holds the oldest, then slot 0, then a
+  // younger one behind slot 2's; slot 1's delayed queue stays empty.
+  const uint64_t oldest = rig.Raw(DriveSet::Queue::kDelayed, 100, SlotId(2));
+  const uint64_t middle = rig.Raw(DriveSet::Queue::kDelayed, 200, SlotId(0));
+  const uint64_t youngest = rig.Raw(DriveSet::Queue::kDelayed, 300, SlotId(2));
+  const uint64_t fg = rig.Raw(DriveSet::Queue::kForeground, 400, SlotId(2));
+
+  EXPECT_EQ(rig.drives->ForceOutOldestDelayed(), SlotId(2));
+  EXPECT_EQ(rig.Depth(SlotId(2), DriveSet::Queue::kForeground), 2u);
+  EXPECT_EQ(rig.Depth(SlotId(2), DriveSet::Queue::kDelayed), 1u);
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(2)), 2);
+  EXPECT_EQ(rig.drives->ForceOutOldestDelayed(), SlotId(0));
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(0)), 1);
+  EXPECT_EQ(rig.drives->ForceOutOldestDelayed(), SlotId(2));
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(2)), 3);
+  EXPECT_EQ(rig.drives->ForceOutOldestDelayed(), std::nullopt);
+  EXPECT_EQ(rig.drives->TotalQueued(DriveSet::Queue::kDelayed), 0u);
+  EXPECT_EQ(rig.drives->TotalQueued(DriveSet::Queue::kForeground), 4u);
+  // A forced-out entry keeps its id, so the policy can still cancel it.
+  EXPECT_TRUE(rig.drives->Cancel(SlotId(2), youngest).has_value());
+  EXPECT_EQ(rig.LastSampledDepth(SlotId(2)), 2);
+
+  // Slot 2 serves its foreground queue in arrival order (FCFS): the entry
+  // that was already there, then the forced-out one.
+  rig.sim.Run();
+  EXPECT_EQ(rig.client.completed_raw.size(), 3u);
+  std::vector<uint64_t> slot2;
+  for (uint64_t id : rig.client.dispatched_raw) {
+    if (id == fg || id == oldest) {
+      slot2.push_back(id);
+    }
+  }
+  EXPECT_EQ(slot2, (std::vector<uint64_t>{fg, oldest}));
+  EXPECT_NE(std::find(rig.client.completed_raw.begin(),
+                      rig.client.completed_raw.end(), middle),
+            rig.client.completed_raw.end());
+  for (uint32_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(rig.LastSampledDepth(SlotId(d)), 0) << "slot " << d;
+  }
+  rig.CheckConservation();
+  EXPECT_EQ(rig.auditor.violations(), 0u);
 }
 
 }  // namespace

@@ -129,6 +129,23 @@ TEST_F(LayoutTest, BadSectorRemapsToSpare) {
   EXPECT_EQ(layout_.ToLba(natural), kInvalidLba);
 }
 
+TEST_F(LayoutTest, RemapLeavesHoleOnlyAtItsOwnNaturalPosition) {
+  // LBA 4751 sits at (30,1,1) in zone 1 (SPT 30). (22,2,31) holds LBA 3591
+  // in zone 0 (SPT 40); keyed per zone SPT, both slots would be numbered
+  // 30*4*30 + 1*30 + 1 = 22*4*40 + 2*40 + 31 = 3631.
+  ASSERT_EQ(layout_.ToChs(4751), (Chs{30, 1, 1}));
+  ASSERT_EQ(layout_.ToLba(Chs{22, 2, 31}), 3591u);
+  ASSERT_TRUE(layout_.AddBadSector(4751));
+  EXPECT_EQ(layout_.ToLba(Chs{30, 1, 1}), kInvalidLba);
+  EXPECT_EQ(layout_.ToLba(Chs{22, 2, 31}), 3591u);
+  // Every other sector still round-trips through its natural position.
+  for (uint64_t lba = 0; lba < layout_.num_data_sectors(); ++lba) {
+    if (lba != 4751) {
+      EXPECT_EQ(layout_.ToLba(layout_.ToChs(lba)), lba) << "lba=" << lba;
+    }
+  }
+}
+
 TEST_F(LayoutTest, AddBadSectorTwiceFails) {
   ASSERT_TRUE(layout_.AddBadSector(500));
   EXPECT_FALSE(layout_.AddBadSector(500));

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/array/array_layout.h"
+#include "src/array/controller.h"
 #include "src/calib/predictor.h"
 #include "src/core/experiment.h"
 #include "src/core/mimd_raid.h"
@@ -137,6 +141,84 @@ TEST(TraceCollector, DisabledCollectorLeavesResultsIdentical) {
   EXPECT_EQ(a.latency.MeanUs(), b.latency.MeanUs());
   EXPECT_EQ(a.latency.MaxUs(), b.latency.MaxUs());
   EXPECT_EQ(a.iops, b.iops);
+}
+
+TEST(TraceCollector, QueueDepthSeriesFollowsEveryForegroundChange) {
+  // Under a one-entry NVRAM table the mirror forces propagations into the
+  // foreground queues, and a newer write to the same replica cancels a
+  // forced-out one there. Both change a foreground queue's length, so after
+  // every event each slot's last depth sample must equal its depth.
+  Simulator sim;
+  TraceCollector collector;
+  std::vector<std::unique_ptr<SimDisk>> disks;
+  std::vector<std::unique_ptr<AccessPredictor>> predictors;
+  std::vector<SimDisk*> dptr;
+  std::vector<AccessPredictor*> pptr;
+  ArrayAspect aspect;
+  aspect.dm = 2;
+  for (int i = 0; i < aspect.TotalDisks(); ++i) {
+    disks.push_back(std::make_unique<SimDisk>(
+        &sim, MakeTestGeometry(), MakeTestSeekProfile(),
+        DiskNoiseModel::None(), /*seed=*/300 + i,
+        /*spindle_phase_us=*/i * 900.0));
+    predictors.push_back(
+        std::make_unique<OraclePredictor>(disks.back().get(), 0.0));
+    dptr.push_back(disks.back().get());
+    pptr.push_back(predictors.back().get());
+  }
+  const ArrayLayout layout(&disks[0]->layout(), aspect,
+                           /*stripe_unit_sectors=*/16, /*dataset=*/2000);
+  ArrayControllerOptions copts;
+  copts.delayed_table_limit = 1;
+  copts.engine.collector = &collector;
+  ArrayController controller(&sim, dptr, pptr, &layout, copts);
+
+  // Six outstanding writes cycling over four blocks.
+  constexpr int kWrites = 300;
+  int issued = 0;
+  int completed = 0;
+  std::function<void()> issue = [&] {
+    const uint64_t lba = static_cast<uint64_t>(issued % 4) * 400;
+    ++issued;
+    controller.Submit(DiskOp::kWrite, lba, 8, [&](const IoResult&) {
+      ++completed;
+      if (issued < kWrites) {
+        issue();
+      }
+    });
+  };
+  for (int i = 0; i < 6; ++i) {
+    issue();
+  }
+  std::vector<int64_t> last(dptr.size(), -1);
+  size_t seen = 0;
+  size_t mismatches = 0;
+  auto check = [&] {
+    const std::vector<QueueDepthSample>& samples = collector.queue_depths();
+    for (; seen < samples.size(); ++seen) {
+      last[samples[seen].slot] = samples[seen].depth;
+    }
+    for (uint32_t d = 0; d < dptr.size(); ++d) {
+      // No sample yet reads as an empty queue.
+      const int64_t sampled = last[d] < 0 ? 0 : last[d];
+      if (sampled != static_cast<int64_t>(controller.QueueDepth(d))) {
+        ++mismatches;
+      }
+    }
+  };
+  while (sim.Step()) {
+    check();
+    if (completed == kWrites && controller.Idle()) {
+      break;
+    }
+  }
+  EXPECT_EQ(completed, kWrites);
+  EXPECT_GT(controller.stats().delayed_writes_forced, 0u);
+  EXPECT_GT(controller.stats().delayed_writes_discarded, 0u);
+  EXPECT_EQ(mismatches, 0u);
+  for (uint32_t d = 0; d < dptr.size(); ++d) {
+    EXPECT_EQ(last[d], 0) << "slot " << d;
+  }
 }
 
 TEST(TraceCollector, Raid5RmwWriteBooksEarlierPhasesAsRecovery) {

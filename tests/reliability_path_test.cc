@@ -338,8 +338,9 @@ GatingTimes MeasureGating(ScrubGating gating) {
 TEST(ScrubGatingPolicy, IdleGatedYieldsToDelayedBacklogAlwaysDoesNot) {
   const GatingTimes gated = MeasureGating(ScrubGating::kIdleGated);
   const GatingTimes always = MeasureGating(ScrubGating::kAlways);
-  // kIdleGated: LiveDrivesQuiet() is false while any delayed-propagation
-  // queue is non-empty, so the first scrub read waits for the drain.
+  // kIdleGated: the engine's quiet-drives test is false while any
+  // delayed-propagation queue is non-empty, so the first scrub read waits for
+  // the drain.
   EXPECT_GE(gated.first_scrub_read, gated.backlog_drained)
       << "idle-gated scrub ran while delayed writes were still propagating";
   // kAlways: the tick fires on schedule and scrubs straight through the
